@@ -139,7 +139,7 @@ type reference struct {
 
 // maxReferenceRels bounds the inputs that get a reference: the oracle
 // up to 10 relations, an explicit DPhyp plan from 11 to this bound. The
-// 65–100-relation tier is checked for coverage and cost only.
+// 65–98-relation tier is checked for coverage and cost only.
 const maxReferenceRels = 24
 
 // references computes the reference cost of each input index in use,

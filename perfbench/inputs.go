@@ -23,19 +23,21 @@ type input struct {
 
 // inputSet is everything a workload sends, generated from the seed
 // before any timing starts. Library workloads cycle through Inputs in
-// order; serve workloads request the documents Keys names, in order.
-// Block is the length of one stratified block of Inputs.
+// order, timed in segments of Segment inputs (one block of the mix, so
+// that every segment holds the same shapes and sizes); serve
+// workloads request the documents Keys names, in order.
 type inputSet struct {
-	Inputs []input
-	Keys   []int32
-	Block  int
+	Inputs  []input
+	Keys    []int32
+	Segment int
 }
 
-// family draws one graph with n relations.
+// family draws one graph with n relations, n one of min, min+step, …,
+// up to max.
 type family struct {
-	name     string
-	min, max int
-	gen      func(rng *rand.Rand, n int) *hypergraph.Graph
+	name           string
+	min, max, step int
+	gen            func(rng *rand.Rand, n int) *hypergraph.Graph
 }
 
 // defaultCfg returns the §4 workload generator's cardinality and
@@ -47,7 +49,7 @@ func defaultCfg(rng *rand.Rand) workload.Config {
 	return c
 }
 
-// largeCfg is defaultCfg for the 65–100-relation tier, whose default
+// largeCfg is defaultCfg for the 65–98-relation tier, whose default
 // statistics would overflow float64 cardinalities.
 func largeCfg(rng *rand.Rand) workload.Config {
 	c := workload.LargeConfig()
@@ -56,44 +58,49 @@ func largeCfg(rng *rand.Rand) workload.Config {
 }
 
 var (
-	chainF = family{"chain", 0, 0, func(rng *rand.Rand, n int) *hypergraph.Graph {
+	chainF = family{name: "chain", gen: func(rng *rand.Rand, n int) *hypergraph.Graph {
 		return workload.Chain(n, defaultCfg(rng))
 	}}
-	cycleF = family{"cycle", 0, 0, func(rng *rand.Rand, n int) *hypergraph.Graph {
+	cycleF = family{name: "cycle", gen: func(rng *rand.Rand, n int) *hypergraph.Graph {
 		return workload.Cycle(n, defaultCfg(rng))
 	}}
-	starF = family{"star", 0, 0, func(rng *rand.Rand, n int) *hypergraph.Graph {
+	starF = family{name: "star", gen: func(rng *rand.Rand, n int) *hypergraph.Graph {
 		return workload.Star(n, defaultCfg(rng))
 	}}
-	cliqueF = family{"clique", 0, 0, func(rng *rand.Rand, n int) *hypergraph.Graph {
+	cliqueF = family{name: "clique", gen: func(rng *rand.Rand, n int) *hypergraph.Graph {
 		return workload.Clique(n, defaultCfg(rng))
 	}}
-	randomF = family{"random", 0, 0, func(rng *rand.Rand, n int) *hypergraph.Graph {
+	randomF = family{name: "random", gen: func(rng *rand.Rand, n int) *hypergraph.Graph {
 		return workload.RandomSimple(rng, n, n/3, defaultCfg(rng))
 	}}
-	hyperF = family{"hyper", 0, 0, func(rng *rand.Rand, n int) *hypergraph.Graph {
+	hyperF = family{name: "hyper", gen: func(rng *rand.Rand, n int) *hypergraph.Graph {
 		return workload.RandomHyper(rng, n, 3, defaultCfg(rng))
 	}}
-	largeChainF = family{"large-chain", 0, 0, func(rng *rand.Rand, n int) *hypergraph.Graph {
+	largeChainF = family{name: "large-chain", gen: func(rng *rand.Rand, n int) *hypergraph.Graph {
 		return workload.Chain(n, largeCfg(rng))
 	}}
-	largeStarF = family{"large-star", 0, 0, func(rng *rand.Rand, n int) *hypergraph.Graph {
+	largeStarF = family{name: "large-star", gen: func(rng *rand.Rand, n int) *hypergraph.Graph {
 		return workload.Star(n, largeCfg(rng))
 	}}
-	largeRandomF = family{"large-random", 0, 0, func(rng *rand.Rand, n int) *hypergraph.Graph {
+	largeRandomF = family{name: "large-random", gen: func(rng *rand.Rand, n int) *hypergraph.Graph {
 		return workload.RandomSimple(rng, n, n/8, largeCfg(rng))
 	}}
 )
 
 // sized returns f restricted to sizes min..max.
 func sized(f family, min, max int) family {
-	f.min, f.max = min, max
+	return stepped(f, min, max, 1)
+}
+
+// stepped returns f restricted to the sizes min..max in steps of step.
+func stepped(f family, min, max, step int) family {
+	f.min, f.max, f.step = min, max, step
 	return f
 }
 
 // stratum is one share of a block: count documents per block, the k-th
 // of them drawn from fams[k%len(fams)]. All of a stratum's families
-// share the size range of fams[0].
+// share the sizes of fams[0].
 type stratum struct {
 	fams  []family
 	count int
@@ -101,10 +108,12 @@ type stratum struct {
 
 // mix is a stratified input mix: every block holds exactly count
 // documents of each stratum in a seeded order, and each family draws
-// its sizes from a shuffled deck of min..max, so every size appears
-// equally often. Two seeds therefore give the same mix of shapes and
-// sizes and differ only in statistics, graph wiring and order, which
-// keeps run-to-run spread down to what the program does.
+// its sizes from a shuffled deck of its sizes, so every size appears
+// equally often. Where a stratum's count is a multiple of its deck,
+// every block holds exactly the same sizes. Two seeds therefore give
+// the same mix of shapes and sizes and differ only in statistics, graph
+// wiring and order, which keeps run-to-run spread down to what the
+// program does.
 type mix []stratum
 
 func (m mix) blockLen() int {
@@ -115,16 +124,16 @@ func (m mix) blockLen() int {
 	return n
 }
 
-// deck deals sizes min..max in shuffled rounds.
+// deck deals sizes min..max (in steps of step) in shuffled rounds.
 type deck struct {
-	rng      *rand.Rand
-	min, max int
-	cards    []int
+	rng            *rand.Rand
+	min, max, step int
+	cards          []int
 }
 
 func (d *deck) next() int {
 	if len(d.cards) == 0 {
-		for n := d.min; n <= d.max; n++ {
+		for n := d.min; n <= d.max; n += d.step {
 			d.cards = append(d.cards, n)
 		}
 		d.rng.Shuffle(len(d.cards), func(i, j int) { d.cards[i], d.cards[j] = d.cards[j], d.cards[i] })
@@ -139,7 +148,8 @@ func (m mix) generate(rng *rand.Rand, blocks int) ([]input, error) {
 	decks := make([]*deck, len(m))
 	drawn := make([]int, len(m))
 	for i, s := range m {
-		decks[i] = &deck{rng: rng, min: s.fams[0].min, max: s.fams[0].max}
+		f := s.fams[0]
+		decks[i] = &deck{rng: rng, min: f.min, max: f.max, step: f.step}
 	}
 	var out []input
 	order := make([]int, 0, m.blockLen())
@@ -189,16 +199,22 @@ func newInput(fam string, g *hypergraph.Graph) (input, error) {
 // The input mixes of the four workloads (see README.md for why each
 // was chosen).
 var (
-	// sparseMix: one block is 80 documents, one of them from the
-	// 65–100-relation tier (1.25%), whose shape rotates through chain,
-	// star and random graph.
+	// sparseMix: one block is 253 documents: every size of every small
+	// family three to eight times, one 10-relation clique (so that
+	// DPsub is measured), and one 65–98-relation chain, star and random
+	// graph (1.2%, the iterdp tier). The large sizes step by 3, so the
+	// twelve blocks of a list hold each of them once per shape, whatever
+	// the seed.
 	sparseMix = mix{
-		{[]family{sized(chainF, 8, 24)}, 16},
-		{[]family{sized(cycleF, 8, 24)}, 16},
-		{[]family{sized(starF, 6, 11)}, 16},
-		{[]family{sized(randomF, 8, 14)}, 16},
-		{[]family{sized(hyperF, 8, 14)}, 15},
-		{[]family{sized(largeChainF, 65, 100), sized(largeStarF, 65, 100), sized(largeRandomF, 65, 100)}, 1},
+		{[]family{sized(chainF, 8, 24)}, 51},
+		{[]family{sized(cycleF, 8, 24)}, 51},
+		{[]family{sized(starF, 6, 11)}, 48},
+		{[]family{sized(randomF, 8, 14)}, 49},
+		{[]family{sized(hyperF, 8, 14)}, 49},
+		{[]family{sized(cliqueF, 10, 10)}, 1},
+		{[]family{stepped(largeChainF, 65, 98, 3)}, 1},
+		{[]family{stepped(largeStarF, 65, 98, 3)}, 1},
+		{[]family{stepped(largeRandomF, 65, 98, 3)}, 1},
 	}
 
 	denseMix = mix{
@@ -229,7 +245,7 @@ var (
 )
 
 const (
-	sparseBlocks = 30  // 2400 documents
+	sparseBlocks = 12  // 3036 documents
 	denseBlocks  = 48  // 336 documents
 	hotDocs      = 256 // the hot set: exactly the default plan-cache capacity
 	churnDocs    = 4096
@@ -245,10 +261,10 @@ func generateInputs(name string, seed int64) (*inputSet, error) {
 	switch name {
 	case "plan-sparse":
 		set.Inputs, err = sparseMix.generate(rng, sparseBlocks)
-		set.Block = sparseMix.blockLen()
+		set.Segment = sparseMix.blockLen()
 	case "plan-dense":
 		set.Inputs, err = denseMix.generate(rng, denseBlocks)
-		set.Block = denseMix.blockLen()
+		set.Segment = denseMix.blockLen()
 	case "serve-hot":
 		set.Inputs, err = hotMix.generate(rng, hotDocs/hotMix.blockLen()+1)
 		set.Inputs = set.Inputs[:hotDocs]

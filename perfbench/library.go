@@ -36,10 +36,6 @@ func librarySetup() float64 {
 	return medianFloat(per)
 }
 
-// segmentBlocks is the number of input blocks in one segment of a
-// library run (about a second on a 2-CPU machine).
-const segmentBlocks = 4
-
 // maxLibraryRate bounds the ops per second a library run records; a
 // run that reaches it ends its timed phase early.
 const maxLibraryRate = 20_000
@@ -122,7 +118,7 @@ func runLibrary(ctx context.Context, set *inputSet, o runOptions) (*outcome, err
 
 	// Segments start at input 0 and hold whole blocks of the mix.
 	next := 0
-	segOps := segmentBlocks * set.Block
+	segOps := set.Segment
 
 	untimed := o.seconds
 	if o.trace {

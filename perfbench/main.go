@@ -12,8 +12,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"time"
 )
@@ -52,53 +54,51 @@ func typicalLatency(segs [][]time.Duration) float64 {
 	return medianFloat(means)
 }
 
+// quietShare is the share of a timed phase's segments that timings
+// reads: the segments whose ops took least time on average.
+const quietShare = 0.25
+
 // timings records throughput and latency from the latencies of a
 // timed phase's segments, measured in a closed loop with the given
-// number of callers. A segment's throughput is callers ÷ its mean
-// latency: ops per second of the loop, not counting the benchmark's
-// own checking between ops. Throughput is the median over segments. A
-// latency percentile is the median of its per-segment values when every
-// segment has at least ten samples beyond it, and is taken over all the
-// segments' samples pooled otherwise. Medians over segments keep a
-// burst of interference from other processes on the machine, which
-// spoils a few segments, out of the result.
+// number of callers. Every segment holds the same kind of work (whole
+// blocks of a library mix, or a fixed slice of time of a serve loop).
+// Other tenants of a shared machine only ever make a segment slower, so
+// the metrics are read from the quietest quarter of the segments, those
+// with the lowest mean op latency, pooled: throughput is callers ÷ the
+// pool's mean latency (ops per second of the loop, not counting the
+// benchmark's own checking between ops), and each latency percentile is
+// taken over the pool. A change that slows the program slows every
+// segment, and shows in the quiet ones as in the rest.
 func (o *outcome) timings(segs [][]time.Duration, callers int) {
-	var all []time.Duration
-	var full [][]time.Duration
-	rates := make([]float64, 0, len(segs))
-	smallest := -1
+	full := make([][]time.Duration, 0, len(segs))
 	for _, s := range segs {
-		if len(s) == 0 {
-			continue
-		}
-		full = append(full, s)
-		all = append(all, s...)
-		rates = append(rates, float64(callers)/mean(s))
-		if smallest < 0 || len(s) < smallest {
-			smallest = len(s)
+		if len(s) > 0 {
+			full = append(full, s)
 		}
 	}
-	o.metrics["throughput_ops_s"] = metric{medianFloat(rates), "ops/s"}
-	o.samples["segments"] = len(rates)
-	o.samples["latency"] = len(all)
+	sort.SliceStable(full, func(i, j int) bool { return mean(full[i]) < mean(full[j]) })
+	keep := full[:max(1, int(math.Ceil(quietShare*float64(len(full)))))]
+	var pool []time.Duration
+	for _, s := range keep {
+		pool = append(pool, s...)
+	}
+	o.metrics["throughput_ops_s"] = metric{float64(callers) / mean(pool), "ops/s"}
+	o.samples["segments"] = len(full)
+	o.samples["quiet_segments"] = len(keep)
+	o.samples["latency"] = len(pool)
 	for _, p := range []struct {
 		name string
 		q    float64
 	}{{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}} {
-		v := ms(quantile(all, p.q))
-		if float64(smallest)*(1-p.q) >= 10 {
-			per := make([]float64, len(full))
-			for i, s := range full {
-				per[i] = ms(quantile(s, p.q))
-			}
-			v = medianFloat(per)
-			o.samples["beyond_"+p.name+"_per_segment"] = int(float64(smallest) * (1 - p.q))
-		} else {
-			o.samples["beyond_"+p.name] = beyond(all, p.q)
-		}
-		o.metrics["latency_"+p.name+"_ms"] = metric{v, "ms"}
+		o.metrics["latency_"+p.name+"_ms"] = metric{ms(quantile(pool, p.q)), "ms"}
+		o.samples["beyond_"+p.name] = beyond(pool, p.q)
 	}
 }
+
+// benchProcs is the number of CPUs the benchmark runs the program on,
+// whatever the machine has: the 2-CPU set-up its workloads are sized
+// for, so that results from machines with more CPUs compare.
+const benchProcs = 2
 
 var workloads = []string{"plan-sparse", "plan-dense", "serve-hot", "serve-churn"}
 
@@ -109,6 +109,7 @@ func main() {
 	trace := flag.Int("trace", 0, "1 = traced run reporting per-layer metrics")
 	scratch := flag.String("scratch", filepath.Join(".bench_build", "tmp"), "directory for temporary files")
 	flag.Parse()
+	runtime.GOMAXPROCS(benchProcs)
 	if *seconds <= 0 || (*trace != 0 && *trace != 1) {
 		fmt.Fprintln(os.Stderr, "perfbench: -seconds must be positive and -trace 0 or 1")
 		os.Exit(2)

@@ -75,7 +75,7 @@ func TestPlanWorkloadsMiss(t *testing.T) {
 		p := newLibraryPlanner()
 		tl := newTally(len(set.Inputs), ops)
 		next := 0
-		libraryLoop(context.Background(), p, set.Inputs, &next, time.Minute, set.Block, tl, nil)
+		libraryLoop(context.Background(), p, set.Inputs, &next, time.Minute, set.Segment, tl, nil)
 		if tl.failed != 0 {
 			t.Fatalf("%s: %d failed ops: %v", w, tl.failed, tl.failures)
 		}

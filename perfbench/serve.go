@@ -259,7 +259,7 @@ func runServe(ctx context.Context, name string, set *inputSet, o runOptions) (*o
 	}
 	reps := 31
 	if hot {
-		reps = 7
+		reps = 21
 	}
 	var srv *server
 	setups := make([]float64, 0, reps)
@@ -389,7 +389,7 @@ func runServe(ctx context.Context, name string, set *inputSet, o runOptions) (*o
 }
 
 // serveSegment is the length of one segment of a serve run.
-const serveSegment = time.Second
+const serveSegment = 250 * time.Millisecond
 
 // loopSegments returns the complete segments of a closed loop that ran
 // for d: segment k of the loop is segment k of every client. Ops that

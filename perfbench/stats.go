@@ -175,7 +175,8 @@ func readRuntime() runtimeSnap {
 
 // runtimeMetrics reports allocation, GC and CPU use per op between two
 // snapshots. The GC fraction is the runtime's own estimate of GC CPU
-// over all CPU it accounted; cpu_util is process CPU ÷ (wall × nproc).
+// over all CPU it accounted; cpu_util is process CPU ÷ (wall ×
+// GOMAXPROCS).
 func runtimeMetrics(a, b runtimeSnap, ops int) map[string]metric {
 	m := map[string]metric{}
 	n := float64(max(ops, 1))
@@ -188,7 +189,7 @@ func runtimeMetrics(a, b runtimeSnap, ops int) map[string]metric {
 	m["runtime.gc_cpu_fraction"] = metric{gcFrac, "ratio"}
 	wall := b.at.Sub(a.at).Seconds()
 	cpu := (b.userCPU + b.sysCPU - a.userCPU - a.sysCPU).Seconds()
-	m["runtime.cpu_util"] = metric{cpu / (wall * float64(runtime.NumCPU())), "ratio"}
+	m["runtime.cpu_util"] = metric{cpu / (wall * float64(runtime.GOMAXPROCS(0))), "ratio"}
 	return m
 }
 
