@@ -26,7 +26,7 @@ func autoShapes() []struct {
 		shape  string
 		routed Algorithm
 	}{
-		{"chain8", workload.Chain(8, cfg), "chain", DPsize},
+		{"chain8", workload.Chain(8, cfg), "chain", DPhyp},
 		{"cycle8", workload.Cycle(8, cfg), "cycle", DPccp},
 		{"star8", workload.Star(8, cfg), "star", DPhyp},
 		{"clique6", workload.Clique(6, cfg), "clique", TopDown},

@@ -285,9 +285,9 @@ func BenchmarkMemo(b *testing.B) {
 
 	// deferred-buckets measures the steady state of the pooled
 	// deferred-pricing cycle the parallel spines (DPhyp, DPccp, TopDown)
-	// run per query: record pairs into the per-worker pooled buffers,
-	// fold the collect barrier, assemble the pooled size buckets, and
-	// price every bucket level through the merged barriers. After warmup
+	// run per query: record pairs into the per-worker pooled size
+	// buckets, fold the collect barrier, and price every level's
+	// buckets through the merged barriers. After warmup
 	// the whole cycle is allocation-free. Two per-run costs are hoisted
 	// out because they are per-run by design, not per-pair: the
 	// Stats.WorkerPairs header (deliberately freshly allocated by
@@ -315,7 +315,7 @@ func BenchmarkMemo(b *testing.B) {
 			e.Stats.WorkerPairs = wp
 			bld.Init()
 			for _, wb := range pr.Bs {
-				wb.ResetPairs()
+				wb.ResetPairs(n)
 			}
 			pr.Par.StartLevel()
 			for j, r := range recs {
@@ -325,14 +325,14 @@ func BenchmarkMemo(b *testing.B) {
 				}
 			}
 			pr.Par.FinishLevel(memo.LevelCollected)
-			buckets := pr.Buckets(n)
-			for s := 2; s < len(buckets); s++ {
-				if len(buckets[s]) == 0 {
-					continue
-				}
+			for s := 2; s <= n; s++ {
 				pr.Par.StartLevel()
-				for j, r := range buckets[s] {
-					pr.Bs[j%workers].Engine.BuildDeferred(r.S1, r.S2)
+				j := 0
+				for _, wb := range pr.Bs {
+					for _, r := range wb.Deferred(s) {
+						pr.Bs[j%workers].Engine.BuildDeferred(r.S1, r.S2)
+						j++
+					}
 				}
 				pr.Par.FinishLevel(memo.LevelPriced)
 			}

@@ -175,10 +175,19 @@
 // polled by every worker, and either trip stops all workers within one
 // poll interval, after which the usual Greedy fallback applies.
 //
-// Small queries (under ParallelMinRels relations) always plan
-// serially: an exact enumeration at that size costs tens of
-// microseconds and fork/join would only add overhead. Traced and
-// observed runs (WithTrace, OnEmit, generate-and-test filters) are
+// Whether a run forks is decided by its predicted work, not its size:
+// the planner predicts the graph's csg-cmp-pair count from its shape
+// profile (the paper's §4 counts for chains, cycles, stars and
+// cliques, a fitted estimate for grids and mixed graphs) and forks
+// only from 6 000 predicted pairs. That crossover was measured on a
+// 2-vCPU box at GOMAXPROCS 2: below about 4 000 pairs two workers lost
+// or tied with serial (chain24 1.13×, star10 1.09×, cycle20 0.99×),
+// between 4 000 and 6 000 they gained at most 14%, and from 6 000 they
+// gained 20% or more (cycle24 0.79×, star12 0.79×, clique9 0.72×,
+// 13-relation random graphs 0.82×). So chains never fork inside the
+// exact tier, cycles fork from 24 relations, stars from 12, cliques
+// from 9, and random graphs from roughly 13. The same prediction feeds
+// the SLO router's static tables. Traced and observed runs (WithTrace, OnEmit, generate-and-test filters) are
 // also pinned serial. Graphs with dependent relations pass through a
 // cost-free admissibility precheck (dp.ParallelSafe): exactly one
 // dependent relation whose incident edges are all inner joins is
@@ -372,8 +381,11 @@
 //   - hyperedges present → DPhyp (Figs. 5/6: lowest on every hyperedge
 //     workload)
 //   - star → DPhyp (Fig. 7: DPhyp ≪ DPsub < DPsize)
-//   - chain → DPsize, cycle → DPccp (all exact solvers are close on
-//     sparse simple shapes; these have the smallest constants)
+//   - chain → DPhyp (it emits exactly the (n³ − n)/6 csg-cmp-pairs;
+//     DPsize, which also tests every failing size pairing, took 1.8×
+//     DPhyp's time on chain10 and 2.8× on chain24)
+//   - cycle → DPccp (the simple-graph csg-cmp enumeration, with the
+//     smallest constants on sparse simple shapes)
 //   - clique → TopDown (every subset is connected, so the failing
 //     connectivity tests that dominate elsewhere vanish)
 //   - grid/mixed → DPhyp (the overall winner)

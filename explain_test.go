@@ -165,14 +165,15 @@ func TestPlanObsRecordsHitsAndMisses(t *testing.T) {
 // explain trace must not force the serial engine.
 func TestExplainParallelStaysParallel(t *testing.T) {
 	o := options{parallelism: 4}
-	g := workload.Chain(16, workload.DefaultConfig())
+	// star13 predicts 24 576 pairs, above the parallel crossover.
+	g := workload.Star(13, workload.DefaultConfig())
 	g.Freeze()
 	o.explain = obs.NewTrace()
-	if w := o.workers(g, nil); w != 4 {
+	if w := o.workers(g, nil, nil); w != 4 {
 		t.Fatalf("explain forced workers to %d, want 4", w)
 	}
 	o.trace = &Trace{}
-	if w := o.workers(g, nil); w != 1 {
+	if w := o.workers(g, nil, nil); w != 1 {
 		t.Fatalf("core trace must still force serial, got %d", w)
 	}
 }

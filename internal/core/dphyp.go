@@ -202,9 +202,10 @@ func (s *Solver) enumerate(n int) {
 // byte-identical at any worker count.
 //
 // After the single collect barrier (memo.LevelCollected folds the
-// workers' pair counters; their tables carry no plans), the recorded
-// pairs are bucketed by result-set size through the pooled
-// dp.ParRun.Buckets and priced level-by-level across the same workers.
+// workers' pair counters; their tables carry no plans), the pairs —
+// recorded straight into each worker's pooled result-set-size buckets
+// — are priced level-by-level across the same workers
+// (dp.ParRun.PriceLevels).
 func (s *Solver) runParallel(n int) (*plan.Node, error) {
 	pr := dp.NewParRun(s.b, s.opts.Parallelism)
 	pr.Par.StartLevel()
@@ -257,7 +258,7 @@ func (s *Solver) runParallel(n int) (*plan.Node, error) {
 	s.opts.Explain.End(collect)
 	if pr.Par.Aborted() == nil {
 		price := s.opts.Explain.Start(obs.PhasePrice)
-		pr.PriceLevels(pr.Buckets(n))
+		pr.PriceLevels()
 		s.opts.Explain.Annotate(price, 0, s.e.Entries(), s.opts.Parallelism, 0)
 		s.opts.Explain.End(price)
 	}

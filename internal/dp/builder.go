@@ -75,13 +75,13 @@ type Builder struct {
 	edgeBuf []int
 
 	// Deferred-pair storage for the enumerate-first parallel modes:
-	// recs is this builder's collection buffer (each worker Builder
-	// collects into its own), buckets is the size-keyed assembly the
-	// main Builder hands to PriceLevels. Both keep their backing arrays
-	// across pool round-trips, so steady-state deferred pricing
-	// allocates nothing (see BenchmarkMemo/deferred-buckets).
-	recs    []PairRec
-	buckets [][]PairRec
+	// levels[s] holds the pairs this builder collected whose result set
+	// has s relations. Each worker Builder collects into its own, and
+	// PriceLevels reads them in place, so a collected pair is stored
+	// once. The buckets keep their backing arrays across pool
+	// round-trips, so steady-state deferred pricing allocates nothing
+	// (see BenchmarkMemo/deferred-buckets).
+	levels [][]PairRec
 }
 
 // NewRun obtains an engine (recycled from pool when possible), resets it
@@ -108,9 +108,9 @@ func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model) (*memo.Engine, *
 // dependency checks, costing — runs lock-free on every worker: the
 // scratch buffers the Builder reuses are private to its view.
 type ParRun struct {
-	Par  *memo.Par
-	Bs   []*Builder
-	main *Builder
+	Par *memo.Par
+	Bs  []*Builder
+	n   int // relations in the graph: the largest pair level
 }
 
 // NewParRun prepares n parallel worker views over b's engine. Like the
@@ -118,6 +118,7 @@ type ParRun struct {
 // recycled engine revives them with their scratch buffers intact.
 func NewParRun(b *Builder, n int) *ParRun {
 	par := b.Engine.Parallel(n)
+	rels := b.G.NumRels()
 	bs := make([]*Builder, n)
 	for i, w := range par.Workers() {
 		wb, _ := w.Backend().(*Builder)
@@ -126,49 +127,41 @@ func NewParRun(b *Builder, n int) *ParRun {
 			w.SetBackend(wb)
 		}
 		wb.G, wb.Model, wb.Filter, wb.Engine = b.G, b.Model, b.Filter, w
-		wb.ResetPairs()
+		wb.ResetPairs(rels)
 		bs[i] = wb
 	}
-	return &ParRun{Par: par, Bs: bs, main: b}
+	return &ParRun{Par: par, Bs: bs, n: rels}
 }
 
 // DeferPair records an admitted csg-cmp-pair for deferred pricing into
-// this builder's pooled buffer. Callers gate on Engine.EmitDeferred
-// first, so budget and emission accounting happen exactly once.
+// this builder's pooled bucket for its result-set size. Callers gate on
+// Engine.EmitDeferred first, so budget and emission accounting happen
+// exactly once.
 //
 //dp:hotpath
 func (b *Builder) DeferPair(S1, S2 bitset.Set) {
+	s := S1.Len() + S2.Len() // the pair is disjoint
 	//nolint:hotpathalloc // append into a pooled buffer: capacity survives pool round-trips, so steady state does not grow
-	b.recs = append(b.recs, PairRec{S1: S1, S2: S2})
+	b.levels[s] = append(b.levels[s], PairRec{S1: S1, S2: S2})
 }
 
-// ResetPairs truncates the deferred-pair buffer, keeping its storage.
-func (b *Builder) ResetPairs() { b.recs = b.recs[:0] }
-
-// Buckets groups every worker-collected deferred pair by result-set
-// size into the main Builder's pooled buckets, ready for PriceLevels.
-// Bucket-internal order (worker index, then collection order) does not
-// affect the outcome: pairs within a level are independent and the
-// engine's Improve tie-break is order-independent, so plans stay
-// byte-identical at any worker count. The bucket storage is recycled
-// through the pool, so steady-state assembly allocates nothing.
-func (pr *ParRun) Buckets(n int) [][]PairRec {
-	b := pr.main
-	if cap(b.buckets) < n+1 {
-		b.buckets = make([][]PairRec, n+1)
+// ResetPairs empties the deferred-pair buckets for a run over n
+// relations, keeping their storage.
+func (b *Builder) ResetPairs(n int) {
+	if cap(b.levels) < n+1 {
+		grown := make([][]PairRec, n+1)
+		copy(grown, b.levels[:cap(b.levels)])
+		b.levels = grown
 	}
-	b.buckets = b.buckets[:n+1]
-	for i := range b.buckets {
-		b.buckets[i] = b.buckets[i][:0]
+	b.levels = b.levels[:n+1]
+	for i := range b.levels {
+		b.levels[i] = b.levels[i][:0]
 	}
-	for _, wb := range pr.Bs {
-		for _, p := range wb.recs {
-			s := p.S1.Union(p.S2).Len()
-			b.buckets[s] = append(b.buckets[s], p)
-		}
-	}
-	return b.buckets
 }
+
+// Deferred returns the pairs this builder deferred whose result set has
+// s relations, in collection order.
+func (b *Builder) Deferred(s int) []PairRec { return b.levels[s] }
 
 // PairRec is one csg-cmp-pair whose pricing was deferred: the
 // enumerate-first parallel modes of DPhyp and DPccp collect the pairs
@@ -184,19 +177,21 @@ type PairRec struct {
 // (a star's hub level holds almost everything) balanced.
 const priceChunk = 128
 
-// PriceLevels prices deferred pairs level-by-level: buckets[s] holds
-// the pairs whose result set has s relations, and all pairs within a
-// bucket are independent given the merged smaller levels, so workers
-// claim fixed chunks of each bucket dynamically. Emission was already
-// counted when the pairs were collected, so the per-level merges add
-// only per-worker built counts, not run totals. On abort (budget or
+// PriceLevels prices the workers' deferred pairs level-by-level: level
+// s holds the pairs whose result set has s relations, and all pairs
+// within a level are independent given the merged smaller levels, so
+// workers claim fixed chunks of the level's per-worker buckets
+// dynamically. Which worker prices a pair does not affect the outcome:
+// the engine's Improve tie-break is order-independent, so plans stay
+// byte-identical at any worker count. Emission was already counted
+// when the pairs were collected, so the per-level merges add only
+// per-worker built counts, not run totals. On abort (budget or
 // cancellation) the remaining levels are skipped; the main engine
 // carries the cause.
-func (pr *ParRun) PriceLevels(buckets [][]PairRec) {
-	for s := 2; s < len(buckets); s++ {
-		bucket := buckets[s]
-		if len(bucket) == 0 {
-			continue
+func (pr *ParRun) PriceLevels() {
+	for s := 2; s <= pr.n; s++ {
+		if _, ok := pr.chunk(s, 0); !ok {
+			continue // no pairs of this size
 		}
 		pr.Par.StartLevel()
 		var (
@@ -209,11 +204,11 @@ func (pr *ParRun) PriceLevels(buckets [][]PairRec) {
 			go func() {
 				defer wg.Done()
 				for {
-					lo := (int(next.Add(1)) - 1) * priceChunk
-					if lo >= len(bucket) || we.Aborted() != nil {
+					chunk, ok := pr.chunk(s, int(next.Add(1))-1)
+					if !ok || we.Aborted() != nil {
 						return
 					}
-					for _, p := range bucket[lo:min(lo+priceChunk, len(bucket))] {
+					for _, p := range chunk {
 						if !we.Step() {
 							return
 						}
@@ -228,6 +223,21 @@ func (pr *ParRun) PriceLevels(buckets [][]PairRec) {
 			return
 		}
 	}
+}
+
+// chunk returns the k-th work unit of level s: the levels' per-worker
+// buckets are cut into priceChunk-sized chunks, numbered in worker
+// order. ok is false past the last chunk.
+func (pr *ParRun) chunk(s, k int) (c []PairRec, ok bool) {
+	lo := k * priceChunk
+	for _, wb := range pr.Bs {
+		bucket := wb.levels[s]
+		if lo < len(bucket) {
+			return bucket[lo:min(lo+priceChunk, len(bucket))], true
+		}
+		lo -= (len(bucket) + priceChunk - 1) / priceChunk * priceChunk
+	}
+	return nil, false
 }
 
 // ParallelSafe reports whether g admits the enumerate-first parallel
@@ -292,9 +302,8 @@ func (b *Builder) Release() {
 	b.connBuf = b.connBuf[:0]
 	b.flipBuf = b.flipBuf[:0]
 	b.edgeBuf = b.edgeBuf[:0]
-	b.recs = b.recs[:0]
-	for i := range b.buckets {
-		b.buckets[i] = b.buckets[i][:0]
+	for i := range b.levels {
+		b.levels[i] = b.levels[i][:0]
 	}
 }
 

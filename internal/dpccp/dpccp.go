@@ -105,13 +105,14 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 
 // solveParallel runs the two-phase parallel DPccp. Phase 1 partitions
 // the enumeration — the serial solver body with emit redirected to a
-// deferred-pair recorder; on simple graphs it needs no DP-table access
-// — across start vertices that workers claim dynamically (descending,
-// matching the serial order), so skewed shapes — a star's hub vertex
-// emits almost every pair — cost at most one worker's imbalance.
-// Phase 2 buckets the collected pairs by result-set size (pooled
-// storage; bucket order is irrelevant under the order-independent
-// merge tie-break) and prices the buckets level-parallel.
+// deferred-pair recorder that buckets each pair by result-set size
+// into the worker's pooled storage; on simple graphs it needs no
+// DP-table access — across start vertices that workers claim
+// dynamically (descending, matching the serial order), so skewed
+// shapes — a star's hub vertex emits almost every pair — cost at most
+// one worker's imbalance. Phase 2 prices the buckets level-parallel
+// (bucket order is irrelevant under the order-independent merge
+// tie-break).
 func solveParallel(g *hypergraph.Graph, b *dp.Builder, n, workers int) {
 	pr := dp.NewParRun(b, workers)
 	pr.Par.StartLevel()
@@ -147,7 +148,7 @@ func solveParallel(g *hypergraph.Graph, b *dp.Builder, n, workers int) {
 	if pr.Par.Aborted() != nil {
 		return
 	}
-	pr.PriceLevels(pr.Buckets(n))
+	pr.PriceLevels()
 }
 
 // enumerateCsgRec grows connected subgraphs along the adjacency

@@ -87,9 +87,15 @@ type Profile struct {
 	Connected bool
 }
 
+// stackRels is the relation count up to which Classify keeps all its
+// scratch in fixed-size arrays on the stack: SolverAuto classifies on
+// every call, cache hits included, so the common case allocates nothing.
+const stackRels = 64
+
 // Classify computes the Profile of g in O(|V| + |E|) time (plus the
 // inverse-Ackermann union-find factor). It never mutates the graph and
-// is safe for concurrent use on a frozen graph.
+// is safe for concurrent use on a frozen graph. Up to stackRels
+// relations it does not allocate.
 //
 // The Grid class is matched by its degree profile (edge count and degree
 // histogram of some a×b factorization), which is a necessary but not
@@ -103,18 +109,34 @@ func Classify(g *hypergraph.Graph) Profile {
 		return p
 	}
 
-	deg := make([]int, n)
-	seenPair := make(map[string]struct{}, g.NumEdges())
-	all := newUnionFind(n)  // connectivity of the full hypergraph
-	skel := newUnionFind(n) // connectivity of the simple skeleton
+	// adj is the simple-edge adjacency matrix, one words-wide bit row
+	// per relation, which collapses duplicate predicates between the
+	// same two relations.
+	words := (n + 63) / 64
+	var (
+		degBuf, allBuf, skelBuf [stackRels]int32
+		adjBuf                  [stackRels]uint64
+		deg                     []int32
+		all, skel               unionFind
+		adj                     []uint64
+	)
+	if n <= stackRels {
+		deg, all, skel, adj = degBuf[:n], allBuf[:n], skelBuf[:n], adjBuf[:n]
+	} else {
+		deg, all, skel = make([]int32, n), make(unionFind, n), make(unionFind, n)
+		adj = make([]uint64, n*words)
+	}
+	all.reset()  // connectivity of the full hypergraph
+	skel.reset() // connectivity of the simple skeleton
 
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(i)
 		if e.Simple() {
 			a, b := e.U.Min(), e.V.Min()
-			pair := e.U.Union(e.V).Key()
-			if _, dup := seenPair[pair]; !dup {
-				seenPair[pair] = struct{}{}
+			lo, hi := min(a, b), max(a, b)
+			w, bit := lo*words+hi/64, uint64(1)<<uint(hi%64)
+			if adj[w]&bit == 0 {
+				adj[w] |= bit
 				deg[a]++
 				deg[b]++
 				p.SimpleEdges++
@@ -125,16 +147,16 @@ func Classify(g *hypergraph.Graph) Profile {
 			p.HyperEdges++
 			nodes := e.Nodes()
 			first := nodes.Min()
-			nodes.ForEach(func(v int) { all.union(first, v) })
+			for v := nodes.NextElem(first + 1); v >= 0; v = nodes.NextElem(v + 1) {
+				all.union(first, v)
+			}
 		}
 	}
 
-	hist := map[int]int{}
+	var hist degreeHist
 	for _, d := range deg {
-		hist[d]++
-		if d > p.MaxDegree {
-			p.MaxDegree = d
-		}
+		hist.add(int(d))
+		p.MaxDegree = max(p.MaxDegree, int(d))
 	}
 	p.Connected = all.components() == 1
 	if n >= 2 {
@@ -174,11 +196,29 @@ func Classify(g *hypergraph.Graph) Profile {
 	return p
 }
 
+// degreeHist is the part of a degree histogram a lattice match reads:
+// how many relations have degree 2, 3 and 4, and how many have any
+// other degree.
+type degreeHist struct{ d2, d3, d4, other int }
+
+func (h *degreeHist) add(d int) {
+	switch d {
+	case 2:
+		h.d2++
+	case 3:
+		h.d3++
+	case 4:
+		h.d4++
+	default:
+		h.other++
+	}
+}
+
 // gridDegreeProfile reports whether (n, m, degree histogram) matches an
 // a×b lattice for some factorization n = a·b with 2 ≤ a ≤ b: m must be
 // a(b-1) + b(a-1), the four corners have degree 2, border nodes degree
 // 3, and interior nodes degree 4.
-func gridDegreeProfile(n, m int, hist map[int]int) bool {
+func gridDegreeProfile(n, m int, hist degreeHist) bool {
 	for a := 2; a*a <= n; a++ {
 		if n%a != 0 {
 			continue
@@ -187,64 +227,43 @@ func gridDegreeProfile(n, m int, hist map[int]int) bool {
 		if m != a*(b-1)+b*(a-1) {
 			continue
 		}
-		want := map[int]int{2: 4}
-		if a == 2 {
-			// No interior: only corners (degree 2) and border (degree 3).
-			if b > 2 {
-				want[3] = 2 * (b - 2)
-			}
-		} else {
-			want[3] = 2*(a-2) + 2*(b-2)
-			want[4] = (a - 2) * (b - 2)
-		}
-		if histEqual(hist, want) {
+		// With a == 2 there is no interior: only corners and border.
+		want := degreeHist{d2: 4, d3: 2*(a-2) + 2*(b-2), d4: (a - 2) * (b - 2)}
+		if hist == want {
 			return true
 		}
 	}
 	return false
 }
 
-func histEqual(got, want map[int]int) bool {
-	if len(got) != len(want) {
-		return false
+// unionFind is a small path-halving union-find over [0, n), backed by
+// caller-provided storage.
+type unionFind []int32
+
+func (u unionFind) reset() {
+	for i := range u {
+		u[i] = int32(i)
 	}
-	for k, v := range want {
-		if got[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
-// unionFind is a small path-halving union-find over [0, n).
-type unionFind struct{ parent []int }
-
-func newUnionFind(n int) *unionFind {
-	u := &unionFind{parent: make([]int, n)}
-	for i := range u.parent {
-		u.parent[i] = i
-	}
-	return u
-}
-
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
+func (u unionFind) find(x int) int {
+	for int(u[x]) != x {
+		u[x] = u[u[x]]
+		x = int(u[x])
 	}
 	return x
 }
 
-func (u *unionFind) union(a, b int) {
+func (u unionFind) union(a, b int) {
 	ra, rb := u.find(a), u.find(b)
 	if ra != rb {
-		u.parent[ra] = rb
+		u[ra] = int32(rb)
 	}
 }
 
-func (u *unionFind) components() int {
+func (u unionFind) components() int {
 	c := 0
-	for i := range u.parent {
+	for i := range u {
 		if u.find(i) == i {
 			c++
 		}

@@ -229,3 +229,49 @@ func TestClassifyIsReadOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestClassifyWide: past 64 relations Classify moves its scratch to the
+// heap (adjacency rows span several words) and must classify the same.
+func TestClassifyWide(t *testing.T) {
+	cfg := workload.LargeConfig()
+	for _, c := range []struct {
+		g    *hypergraph.Graph
+		want Class
+	}{
+		{workload.Chain(100, cfg), Chain},
+		{workload.Cycle(130, cfg), Cycle},
+		{workload.Star(90, cfg), Star},
+		{workload.Grid(9, 10, cfg), Grid},
+	} {
+		p := Classify(c.g)
+		if p.Class != c.want || !p.Connected || p.Rels != c.g.NumRels() || p.SimpleEdges != c.g.NumEdges() {
+			t.Errorf("%d relations: profile %+v, want class %v", c.g.NumRels(), p, c.want)
+		}
+	}
+}
+
+// TestClassifyAllocationFree: up to 64 relations Classify keeps its
+// scratch on the stack, so the per-call shape check SolverAuto runs
+// (cache hits included) allocates nothing on any §4 generator.
+func TestClassifyAllocationFree(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	rng := rand.New(rand.NewSource(7))
+	graphs := map[string]*hypergraph.Graph{
+		"chain24":      workload.Chain(24, cfg),
+		"cycle24":      workload.Cycle(24, cfg),
+		"star14":       workload.Star(14, cfg),
+		"clique12":     workload.Clique(12, cfg),
+		"grid4x4":      workload.Grid(4, 4, cfg),
+		"cyclehyper12": workload.CycleHyper(12, 1, cfg),
+		"starhyper10":  workload.StarHyper(10, 2, cfg),
+		"random14":     workload.RandomSimple(rng, 14, 4, cfg),
+		"hyper14":      workload.RandomHyper(rng, 14, 3, cfg),
+		"chain64":      workload.Chain(64, cfg),
+	}
+	for name, g := range graphs {
+		g.Freeze()
+		if allocs := testing.AllocsPerRun(20, func() { Classify(g) }); allocs != 0 {
+			t.Errorf("%s: Classify allocated %.0f times per call, want 0", name, allocs)
+		}
+	}
+}

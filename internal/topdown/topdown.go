@@ -185,7 +185,7 @@ func solveParallel(g *hypergraph.Graph, e *memo.Engine, b *dp.Builder, n, worker
 		return
 	}
 	price := tr.Start(obs.PhasePrice)
-	pr.PriceLevels(pr.Buckets(n))
+	pr.PriceLevels()
 	tr.Annotate(price, 0, e.Entries(), workers, 0)
 	tr.End(price)
 }

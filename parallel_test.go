@@ -5,16 +5,26 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/shape"
 	"repro/internal/workload"
 )
 
 // detGraph derives the i-th determinism-test graph: shapes and random
-// graphs mixed, all at or above ParallelMinRels so the parallel paths
-// actually engage.
+// graphs mixed, every one above the parallel gate so the parallel
+// paths actually engage. The gate forks a run only when the graph's
+// predicted csg-cmp-pair count (staticPairs: the §4 count of its
+// shape) reaches parallelMinPairs, 6 000 pairs, the crossover measured
+// on a 2-vCPU box at GOMAXPROCS 2. Chains stay below it up to 33
+// relations and are left out. The even indices, which the TopDown
+// engagement test reads too, hold only graphs TopDown finishes in tens
+// of milliseconds: its partition search tests 2^(|S|-1) splits of
+// every connected set S, so a long sparse graph above the crossover (a
+// 24-cycle: about 2·10⁸ tests) is out of its reach.
 func detGraph(i int) *Graph {
 	seed := int64(7000 + i)
 	rng := rand.New(rand.NewSource(seed))
@@ -22,19 +32,24 @@ func detGraph(i int) *Graph {
 	cfg.Seed = seed
 	switch i % 8 {
 	case 0:
-		return workload.Chain(10+rng.Intn(4), cfg)
+		return workload.Star(12, cfg) // 11 264 pairs
 	case 1:
-		return workload.Cycle(10+rng.Intn(4), cfg)
+		return workload.Cycle(24, cfg) // 6 348 pairs
 	case 2:
-		return workload.Star(10+rng.Intn(3), cfg)
+		return workload.Clique(9, cfg) // 9 330 pairs
 	case 3:
-		return workload.Clique(10, cfg)
+		// A spanning tree predicts 2·1.75ⁿ ≥ 8 854 pairs from n = 15.
+		return workload.RandomHyper(rng, 15+rng.Intn(2), 1+rng.Intn(3), cfg)
 	case 4:
-		return workload.Grid(2, 5+rng.Intn(2), cfg)
+		return workload.Grid(2, 6, cfg) // 8 912 predicted pairs
 	case 5:
-		return workload.RandomHyper(rng, 10+rng.Intn(3), 1+rng.Intn(3), cfg)
+		return workload.CycleHyper(24, 1, cfg) // a 24-cycle with hyperedges
+	case 6:
+		return workload.RandomSimple(rng, 11, 20, cfg)
 	default:
-		return workload.RandomSimple(rng, 10+rng.Intn(4), rng.Intn(5), cfg)
+		// 2·1.75¹⁴·1.4ᵉ ≥ 7 084 predicted pairs once one of the extra
+		// edges lands (not on a self-loop or a duplicate).
+		return workload.RandomSimple(rng, 14, 2+rng.Intn(3), cfg)
 	}
 }
 
@@ -42,8 +57,8 @@ func detGraph(i int) *Graph {
 // over 200 random graphs, the plan JSON produced with parallel
 // enumeration is byte-identical to the serial plan at every worker
 // count, and the csg-cmp-pair counts (the §2.2 effort yardstick) agree
-// exactly. SolverAuto exercises the routed mix (DPsize on chains,
-// DPccp on cycles, DPsub on parallel cliques, DPhyp elsewhere).
+// exactly. SolverAuto exercises the routed mix (DPccp on cycles, DPsub
+// on parallel cliques, DPhyp elsewhere).
 func TestParallelPlansDeterministic(t *testing.T) {
 	graphs := 200
 	if testing.Short() {
@@ -89,25 +104,24 @@ func TestParallelPlansDeterministic(t *testing.T) {
 }
 
 // depGraph derives the i-th dependent-relation graph: a join-only shape
-// with exactly one relation marked dependent on relation 0 — the class
-// the dp.ParallelSafe admissibility precheck admits (every emitted pair
-// keeps at least one valid orientation, so memo membership stays purely
-// structural).
+// above the parallel crossover that TopDown finishes quickly (see
+// detGraph), with exactly one relation marked dependent on relation 0
+// — the class the dp.ParallelSafe admissibility precheck admits (every
+// emitted pair keeps at least one valid orientation, so memo
+// membership stays purely structural).
 func depGraph(i int) *Graph {
 	seed := int64(9000 + i)
 	rng := rand.New(rand.NewSource(seed))
 	cfg := workload.DefaultConfig()
 	cfg.Seed = seed
 	var g *Graph
-	switch i % 4 {
+	switch i % 3 {
 	case 0:
-		g = workload.Chain(10+rng.Intn(3), cfg)
+		g = workload.RandomSimple(rng, 11, 20, cfg)
 	case 1:
-		g = workload.Cycle(10+rng.Intn(3), cfg)
-	case 2:
-		g = workload.Star(10+rng.Intn(3), cfg)
+		g = workload.Star(12, cfg)
 	default:
-		g = workload.Grid(2, 5+rng.Intn(2), cfg)
+		g = workload.Grid(2, 6, cfg)
 	}
 	g.SetFree(1+rng.Intn(g.NumRels()-1), bitset.New(0))
 	return g
@@ -120,7 +134,11 @@ func depGraph(i int) *Graph {
 // admitted by the precheck — and every parallel run must actually
 // engage its workers (Stats.Workers), not silently fall back to serial.
 func TestNewParallelModesDeterministic(t *testing.T) {
-	graphs := 200
+	// Every graph sits above the parallel crossover: serial DPhyp
+	// builds 1.27 million pairs over these 100 graphs, against 0.55
+	// million over the 200 smaller graphs this test drew when the gate
+	// was a relation count. 100 keeps the -race job near its old length.
+	graphs := 100
 	if testing.Short() {
 		graphs = 20
 	}
@@ -186,8 +204,8 @@ func TestParallelWorkerStats(t *testing.T) {
 		g    *Graph
 	}{
 		{"dpsub-direct", DPsub, workload.Clique(10, workload.DefaultConfig())},
-		{"dpccp-deferred", DPccp, workload.Cycle(12, workload.DefaultConfig())},
-		{"dphyp-deferred", DPhyp, workload.Star(11, workload.DefaultConfig())},
+		{"dpccp-deferred", DPccp, workload.Cycle(24, workload.DefaultConfig())},
+		{"dphyp-deferred", DPhyp, workload.Star(12, workload.DefaultConfig())},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -223,7 +241,7 @@ func TestParallelWorkerStats(t *testing.T) {
 
 // TestParallelSmallQueriesStaySerial: below the crossover the serial
 // engine runs even when parallelism was requested — fork/join overhead
-// must not regress small queries.
+// must not regress small queries (star8 predicts 448 pairs).
 func TestParallelSmallQueriesStaySerial(t *testing.T) {
 	p := NewPlanner(WithPlanCacheSize(0), WithParallelism(4))
 	res, err := p.PlanGraph(context.Background(), workload.Star(8, workload.DefaultConfig()))
@@ -238,14 +256,63 @@ func TestParallelSmallQueriesStaySerial(t *testing.T) {
 	}
 }
 
+// TestParallelGateCrossover: at default parallelism each §4 shape plans
+// serially just below the predicted-pairs crossover (parallelMinPairs,
+// 6 000 pairs of staticPairs) and with every allowed worker just above
+// it. Chains only cross it past SolverAuto's exact cutoff, so they
+// name DPhyp. On a single-CPU runner the default cap is one worker and
+// every case plans serially.
+func TestParallelGateCrossover(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cases := []struct {
+		name  string
+		g     *Graph
+		alg   Algorithm
+		above bool
+	}{
+		{"chain33", workload.Chain(33, cfg), DPhyp, false},                   // 5 984 pairs
+		{"chain34", workload.Chain(34, cfg), DPhyp, true},                    // 6 545
+		{"cycle23", workload.Cycle(23, cfg), SolverAuto, false},              // 5 566
+		{"cycle24", workload.Cycle(24, cfg), SolverAuto, true},               // 6 348
+		{"star11", workload.Star(11, cfg), SolverAuto, false},                // 5 120
+		{"star12", workload.Star(12, cfg), SolverAuto, true},                 // 11 264
+		{"clique8", workload.Clique(8, cfg), SolverAuto, false},              // 3 025
+		{"clique9", workload.Clique(9, cfg), SolverAuto, true},               // 9 330
+		{"grid2x5", workload.Grid(2, 5, cfg), SolverAuto, false},             // 2 063 predicted
+		{"grid2x6", workload.Grid(2, 6, cfg), SolverAuto, true},              // 8 912 predicted
+		{"cyclehyper22", workload.CycleHyper(22, 1, cfg), SolverAuto, false}, // 4 851
+		{"cyclehyper24", workload.CycleHyper(24, 1, cfg), SolverAuto, true},  // 6 348
+	}
+	parallel := min(runtime.GOMAXPROCS(0), 64)
+	p := NewPlanner(WithPlanCacheSize(0))
+	for _, c := range cases {
+		c.g.Freeze()
+		if pred := staticPairs(shape.Classify(c.g)); (pred >= parallelMinPairs) != c.above {
+			t.Fatalf("%s: predicts %.0f pairs, on the wrong side of the %d crossover for this case",
+				c.name, pred, parallelMinPairs)
+		}
+		res, err := p.PlanGraph(context.Background(), c.g, WithAlgorithm(c.alg))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := 1
+		if c.above {
+			want = parallel
+		}
+		if got := max(res.Stats.Workers, 1); got != want {
+			t.Errorf("%s (%s): ran with %d workers, want %d", c.name, res.Algorithm, got, want)
+		}
+	}
+}
+
 // TestParallelTracedRunsStaySerial: traces (and observation hooks)
 // need the serial emission order, so observed runs are pinned to one
-// worker.
+// worker even above the parallel crossover.
 func TestParallelTracedRunsStaySerial(t *testing.T) {
 	p := NewPlanner(WithPlanCacheSize(0), WithParallelism(4))
 	var tr Trace
 	res, err := p.PlanGraph(context.Background(),
-		workload.Star(11, workload.DefaultConfig()), WithTrace(&tr))
+		workload.Star(12, workload.DefaultConfig()), WithTrace(&tr))
 	if err != nil {
 		t.Fatal(err)
 	}

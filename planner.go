@@ -399,14 +399,18 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	// routed entry is interchangeable with one planned by naming the
 	// same algorithm directly. annotate stamps the routing decision
 	// onto the Stats of whichever path produced the result.
-	// Classification costs one O(V+E) pass — the same order as the
-	// Fingerprint scan every cached call already pays.
+	// Classification costs one allocation-free O(V+E) pass — the same
+	// order as the Fingerprint scan every cached call already pays. The
+	// same profile sizes the run's worker count; par stays 0 until a
+	// cache miss needs it, so a named-algorithm hit never classifies.
 	annotate := func(*dp.Stats) {}
 	slo := sloState{budget: o.planBudget}
+	par := 0
 	if o.alg == SolverAuto {
 		span := o.explain.Start(obs.PhaseRoute)
 		prof := shape.Classify(g)
-		routed := routeAuto(prof, o.workers(g, filter))
+		par = o.workers(g, &prof, filter)
+		routed := routeAuto(prof, par)
 		final := routed
 		if slo.budget > 0 {
 			// Budget-aware routing happens before the cache lookup for
@@ -463,7 +467,10 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	if o.alg != IterDP {
 		espan = o.explain.Start(obs.PhaseEnumerate)
 	}
-	pl, st, err := runSolver(g, o, filter)
+	if par == 0 {
+		par = o.workers(g, nil, filter)
+	}
+	pl, st, err := runSolver(g, o, filter, par)
 	o.explain.Annotate(espan, int64(st.CsgCmpPairs), st.TableEntries, st.Workers, 0)
 	o.explain.End(espan)
 	if err != nil {
@@ -478,7 +485,7 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 		og.budget = Budget{}
 		og.trace = nil
 		fspan := o.explain.Start(obs.PhaseFallback)
-		gp, gst, gerr := runSolver(g, og, filter)
+		gp, gst, gerr := runSolver(g, og, filter, 1)
 		o.explain.Annotate(fspan, int64(gst.CsgCmpPairs), gst.TableEntries, 1, 0)
 		o.explain.End(fspan)
 		if gerr != nil {

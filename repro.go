@@ -22,6 +22,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/optree"
 	"repro/internal/plan"
+	"repro/internal/shape"
 	"repro/internal/topdown"
 )
 
@@ -267,15 +268,19 @@ func WithPlanCacheSize(n int) Option { return func(o *options) { o.cacheSize = n
 // ErrBudgetExhausted) instead of degrading to a Greedy plan.
 func WithoutGreedyFallback() Option { return func(o *options) { o.noFallback = true } }
 
-// WithParallelism bounds the workers one enumeration may use. The
+// WithParallelism caps the workers one enumeration may use. The
 // default (0) is runtime.GOMAXPROCS; 1 pins every run to the serial
-// engine and its pooling behavior exactly as before. Parallelism never
-// changes the plan: worker results merge under an order-independent
-// tie-break, so plans are byte-identical across worker counts (and to
-// serial), which is also why the plan cache ignores this knob. Small
-// queries (fewer than ParallelMinRels relations), traced or observed
-// runs, and generate-and-test filters always plan serially — fork/join
-// overhead would dominate or ordering guarantees would be lost.
+// engine. Whether a run forks at all is decided per graph: it uses the
+// cap only when the graph's predicted csg-cmp-pair count (the paper's
+// §4 count for its shape) reaches 6 000 — the crossover measured on a
+// 2-vCPU box: below about 4 000 pairs two workers lost or tied with
+// serial, and from 6 000 they won by 20% or more — and plans serially
+// otherwise. Traced or observed runs and generate-and-test filters
+// always plan serially, since ordering guarantees would be lost.
+// Parallelism never changes the plan: worker results merge under an
+// order-independent tie-break, so plans are byte-identical across
+// worker counts (and to serial), which is also why the plan cache
+// ignores this knob.
 func WithParallelism(n int) Option { return func(o *options) { o.parallelism = n } }
 
 // DefaultClusterSize is the IterDP subproblem budget unless overridden
@@ -289,24 +294,27 @@ const DefaultClusterSize = iterdp.DefaultClusterSize
 // exponentially more enumeration time per subproblem.
 func WithClusterSize(n int) Option { return func(o *options) { o.clusterSize = n } }
 
-// ParallelMinRels is the size crossover below which enumerations stay
-// serial regardless of WithParallelism: under ~10 relations a full
-// exact enumeration costs tens of microseconds, where goroutine
-// fork/join and the level barriers would be pure regression.
-const ParallelMinRels = 10
-
-// workers resolves the effective worker count for one enumeration over
-// g. Observation hooks need the serial emission order; filters carry
-// per-analysis state the worker builders must not share.
-func (o *options) workers(g *Graph, filter dp.Filter) int {
+// workers resolves the effective worker count for one enumeration of
+// g: the WithParallelism cap when the predicted pair count reaches
+// parallelMinPairs, one otherwise. prof is g's profile when the caller
+// already has it; nil classifies g here, and only when the cap and the
+// hooks would allow a fork at all. Observation hooks need the serial
+// emission order; filters carry per-analysis state the worker builders
+// must not share.
+func (o *options) workers(g *Graph, prof *shape.Profile, filter dp.Filter) int {
 	w := o.parallelism
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > 64 {
-		w = 64
+	w = min(w, 64)
+	if w <= 1 || filter != nil || o.trace != nil || o.onEmit != nil {
+		return 1
 	}
-	if w > 1 && (filter != nil || o.trace != nil || o.onEmit != nil || g.NumRels() < ParallelMinRels) {
+	if prof == nil {
+		p := shape.Classify(g)
+		prof = &p
+	}
+	if staticPairs(*prof) < parallelMinPairs {
 		return 1
 	}
 	return w
@@ -333,11 +341,11 @@ func (r *Result) Cost() float64 { return r.Plan.Cost }
 // Cardinality returns the estimated result size.
 func (r *Result) Cardinality() float64 { return r.Plan.Card }
 
-// runSolver dispatches a hypergraph to the selected algorithm. It
-// returns the enumeration statistics even on error so that the Planner
-// can account for the work an aborted exact pass performed before its
-// Greedy fallback.
-func runSolver(g *Graph, o options, filter dp.Filter) (*PlanNode, Stats, error) {
+// runSolver dispatches a hypergraph to the selected algorithm with par
+// workers (see options.workers). It returns the enumeration statistics
+// even on error so that the Planner can account for the work an
+// aborted exact pass performed before its Greedy fallback.
+func runSolver(g *Graph, o options, filter dp.Filter, par int) (*PlanNode, Stats, error) {
 	// Fault injection: one visit per solver dispatch. An injected error
 	// fails the enumeration before it starts (wrap ErrBudgetExhausted to
 	// exercise the greedy fallback); a delay models a slow solver.
@@ -351,7 +359,6 @@ func runSolver(g *Graph, o options, filter dp.Filter) (*PlanNode, Stats, error) 
 		MaxCsgCmpPairs: o.budget.MaxCsgCmpPairs,
 		MaxCostedPlans: o.budget.MaxCostedPlans,
 	}
-	par := o.workers(g, filter)
 	switch o.alg {
 	case DPhyp:
 		return core.Solve(g, core.Options{Model: o.model, Filter: filter, Trace: o.trace, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: par})

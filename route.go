@@ -1,6 +1,10 @@
 package repro
 
-import "repro/internal/shape"
+import (
+	"math"
+
+	"repro/internal/shape"
+)
 
 // Topology-dependent limits beyond which exact enumeration is routed to
 // Greedy (GOO) instead. The numbers come from the growth of the
@@ -26,6 +30,73 @@ const (
 // budget where GOO's cubic scan would not.
 const autoMaxGreedyRels = 64
 
+// staticPairs predicts how many csg-cmp pairs an exact enumeration of
+// a graph with profile p emits: the paper's §4 measure of enumeration
+// work, and the one number both the parallel gate (parallelMinPairs)
+// and the SLO static tables (staticPlanCost) read. The canonical
+// shapes use the exact §4 counts, which DPhyp's Stats.CsgCmpPairs
+// matches pair for pair:
+//
+//   - chain: (n³ − n)/6
+//   - cycle: (n³ − 2n² + n)/2
+//   - star: (n − 1)·2ⁿ⁻²
+//   - clique: (3ⁿ − 2ⁿ⁺¹ + 1)/2
+//
+// Grids and mixed graphs have no closed form. Their estimate is
+// 2·1.75ⁿ·1.4ᵉ, where e = SimpleEdges − (n − 1) counts the simple
+// edges beyond a spanning tree. It was fitted to serial DPhyp pair
+// counts of 41 graphs per size, n = 8…16, for random recursive trees
+// with e = 0, with n/3 extra edges and with n extra edges, and for
+// trees with three random hyperedges. Every family's median lands
+// within 0.85–1.8× of the prediction; the 3×4 grid (12 275 pairs)
+// predicts 12 470. Hyperedges add no term: the three hyperedges of a
+// random hypergraph left its median count at its spanning tree's. The
+// estimate is clamped below by the chain count and by a star at the
+// graph's largest simple degree, and above by the clique count.
+func staticPairs(p shape.Profile) float64 {
+	n := float64(p.Rels)
+	if n < 2 {
+		return 1
+	}
+	chain := (n*n*n - n) / 6
+	clique := (math.Pow(3, n) - math.Exp2(n+1) + 1) / 2
+	switch p.Class {
+	case shape.Chain:
+		return chain
+	case shape.Cycle:
+		return n * (n - 1) * (n - 1) / 2
+	case shape.Star:
+		return (n - 1) * math.Exp2(n-2)
+	case shape.Clique:
+		return clique
+	default: // grid, mixed
+		excess := float64(max(0, p.SimpleEdges-(p.Rels-1)))
+		d := float64(p.MaxDegree)
+		hub := d * math.Exp2(d-1)
+		return min(clique, max(2*math.Pow(1.75, n)*math.Pow(1.4, excess), chain, hub))
+	}
+}
+
+// parallelMinPairs is the predicted pair count (staticPairs) from
+// which an enumeration forks workers; below it every run is serial,
+// whatever WithParallelism allows. It was measured on a 2-vCPU box at
+// GOMAXPROCS 2, timing each routed solver serially and at 2 workers on
+// the same pooled engine (medians of 9 interleaved runs per graph, 9
+// graphs per random size). Two workers lose or tie below about 4 000
+// actual pairs: chain24 (2 300 pairs) took 1.13× the serial time,
+// star10 (2 304) 1.09×, cycle20 (3 610) 0.99×, random 11-relation
+// graphs (1 200–3 000) 1.08× and 14-relation hypergraphs (1 800–5 700)
+// 0.97×. Between about 4 000 and 6 000 they gain up to 14%: star11
+// (5 120) 0.93×, cycle23 (5 566) 0.86×, random 12-relation graphs
+// (2 500–6 700) 0.92×. From about 6 000 they gain 20% or more: cycle24
+// (6 348) 0.79×, the 2×6 grid (6 244) 0.74×, star12 (11 264) 0.79×,
+// random 13-relation graphs (1 900–11 400) 0.82×, clique9 on DPsub
+// (9 330) 0.72× of serial TopDown. The constant sits at the top of the
+// marginal band: the grid and mixed estimate is a median that single
+// graphs miss by up to 2× either way, and every fork retains worker
+// scratch on the pooled engine, so a fork has to win clearly.
+const parallelMinPairs = 6000
+
 // routeAuto maps a topology profile to the enumeration algorithm,
 // following the crossover data of the paper's evaluation (§4):
 //
@@ -35,9 +106,13 @@ const autoMaxGreedyRels = 64
 //     connectivity-failing pair.
 //   - Stars go to DPhyp (Fig. 7: DPhyp ≪ DPsub < DPsize, with the gap
 //     growing exponentially in the number of relations).
-//   - Chains go to DPsize: on chains the size-paired enumeration wastes
-//     almost nothing (§4.2 shows all three DP variants within small
-//     factors there) and its tight loops have the smallest constant.
+//   - Chains go to DPhyp. It enumerates exactly the (n³ − n)/6 csg-cmp
+//     pairs, while DPsize also tests every size-paired combination
+//     that fails to connect. Serially on a 2-vCPU box, DPsize took
+//     1.8× DPhyp's time on chain10 (0.31 against 0.17 ms), 2.2× on
+//     chain16 (2.21 against 1.02 ms) and 2.8× on chain24 (9.81 against
+//     3.49 ms). DPsize stays reachable through WithAlgorithm for the §4
+//     reproductions.
 //   - Cycles go to DPccp, the simple-graph specialization of the
 //     csg-cmp-pair enumeration — exact and allocation-light on sparse
 //     simple graphs.
@@ -54,17 +129,15 @@ const autoMaxGreedyRels = 64
 // space, so routing never changes the cost of the returned plan — only
 // the time to find it.
 //
-// workers is the effective parallelism of the call. It only matters in
-// one place: cliques at or above the parallel crossover route to the
+// workers is the call's worker count after the parallel gate: more
+// than one only when staticPairs(p) reaches parallelMinPairs (clique9
+// and up). It matters in one place: parallel cliques route to the
 // level-parallel DPsub instead of TopDown. TopDown has its own parallel
-// partition search now, so this is no longer a serial-mode workaround —
-// it is a measured choice: on a clique every subset is connected, so
-// both solvers walk the same Θ(3ⁿ) partition space, but DPsub prices
-// pairs in place during its level sweep while parallel TopDown pays an
-// extra collect-then-price pass over every pair (clique12 at 4 workers:
-// DPsub ≈ 0.93× of parallel TopDown's time on the 2-core reference
-// box). Below the crossover (and at workers == 1) the serial routing is
-// unchanged, so small queries never pay fork/join overhead.
+// partition search, but on a clique both solvers walk the same Θ(3ⁿ)
+// partition space, and DPsub prices pairs in place during its level
+// sweep while parallel TopDown pays an extra collect-then-price pass
+// over every pair (clique12 at 4 workers: DPsub ≈ 0.93× of parallel
+// TopDown's time on the 2-core reference box).
 func routeAuto(p shape.Profile, workers int) Algorithm {
 	limit := autoMaxDenseRels
 	switch p.Class {
@@ -85,16 +158,14 @@ func routeAuto(p shape.Profile, workers int) Algorithm {
 		return DPhyp
 	}
 	switch p.Class {
-	case shape.Chain:
-		return DPsize
 	case shape.Cycle:
 		return DPccp
 	case shape.Clique:
-		if workers > 1 && p.Rels >= ParallelMinRels {
+		if workers > 1 {
 			return DPsub
 		}
 		return TopDown
-	default: // Star, Grid, Mixed
+	default: // Chain, Star, Grid, Mixed
 		return DPhyp
 	}
 }

@@ -31,7 +31,7 @@ func TestParallelPlannerThroughWorkerPool(t *testing.T) {
 	const (
 		clients  = 8
 		requests = 4
-		rels     = 11 // above the parallel crossover
+		rels     = 12 // star12: 11 264 predicted pairs, above the 6 000-pair parallel crossover
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)

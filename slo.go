@@ -17,9 +17,10 @@ package repro
 //     typically the persisted history a server loaded at startup, so a
 //     restarted process routes with yesterday's measurements instead of
 //     re-learning them.
-//  3. Static tables derived from the paper's §4 csg-cmp-pair counts —
-//     crude, but deterministic and monotone in n, which is all a cold
-//     router needs to order the rungs.
+//  3. Static tables derived from the predicted csg-cmp-pair count
+//     (staticPairs, the paper's §4 counts) — crude, but deterministic
+//     and monotone in n, which is all a cold router needs to order the
+//     rungs.
 //
 // The predictions self-correct: a mis-predicted rung costs one slow (or
 // one needlessly greedy) call, whose observed latency lands in the live
@@ -27,7 +28,6 @@ package repro
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/obs"
@@ -124,7 +124,7 @@ func (p *Planner) routeBudget(prof shape.Profile, routed Algorithm, o *options) 
 		n++
 	}
 	for i := 0; i < n; i++ {
-		predicted = p.predictPlanTime(prof.Class.String(), rungs[i], prof.Rels, cs)
+		predicted = p.predictPlanTime(prof, rungs[i], cs)
 		if predicted <= o.planBudget || i == n-1 {
 			return rungs[i], predicted, i > 0
 		}
@@ -133,15 +133,15 @@ func (p *Planner) routeBudget(prof shape.Profile, routed Algorithm, o *options) 
 }
 
 // predictPlanTime estimates the sloQuantile wall time of planning a
-// rels-relation graph of the given shape with alg, consulting the live
-// registry, then the baseline history, then the static tables.
+// graph with profile prof with alg, consulting the live registry, then
+// the baseline history, then the static tables.
 //
 // The live series includes cache hits by design: if a shape's traffic
 // is fully cached its observed planning cost is the lookup, and routing
 // the next cold call optimistically costs one mis-prediction that the
 // registry then absorbs.
-func (p *Planner) predictPlanTime(shapeClass string, alg Algorithm, rels, clusterSize int) time.Duration {
-	k := obs.Key{Shape: shapeClass, Algorithm: alg.String(), N: obs.NBucket(rels)}
+func (p *Planner) predictPlanTime(prof shape.Profile, alg Algorithm, clusterSize int) time.Duration {
+	k := obs.Key{Shape: prof.Class.String(), Algorithm: alg.String(), N: obs.NBucket(prof.Rels)}
 	if d, n, ok := p.planObs.Quantile(k, sloQuantile); ok && n >= sloMinSamples {
 		return d
 	}
@@ -150,7 +150,7 @@ func (p *Planner) predictPlanTime(shapeClass string, alg Algorithm, rels, cluste
 			return d
 		}
 	}
-	return staticPlanCost(shapeClass, alg, rels, clusterSize)
+	return staticPlanCost(prof, alg, clusterSize)
 }
 
 // SetBaselineHistory installs a persisted planning-cost history as the
@@ -185,61 +185,52 @@ func (p *Planner) recordSLO(st *Stats, s sloState, alg Algorithm, elapsed time.D
 }
 
 // Static prediction tables, used only while both measured sources are
-// cold. Enumeration effort is modeled as the paper's §4 csg-cmp-pair
-// counts for the query's topology class times an amortized per-pair
-// cost; the absolute constants are order-of-magnitude calibrations
-// from this repository's benchmarks, which is enough to order the
-// ladder rungs — the only decision the router makes with them.
-
-// staticPairs approximates the number of csg-cmp-pairs a shape-matched
-// exact enumeration of an n-relation graph emits (§4.1): cubic for
-// chains and cycles, (n-1)·2^(n-2) for stars, ~3^n/2 for cliques, and
-// an intermediate exponential for grids and unclassified topologies.
-func staticPairs(shapeClass string, n int) float64 {
-	f := float64(n)
-	if f < 2 {
-		return 1
-	}
-	switch shapeClass {
-	case "chain":
-		return (f*f*f - f) / 6
-	case "cycle":
-		return (f*f*f - f) / 3
-	case "star":
-		return (f - 1) * math.Exp2(f-2)
-	case "clique":
-		return (math.Pow(3, f) - math.Exp2(f+1) + 2) / 2
-	default: // grid, mixed, unclassified: denser than a star, sparser than a clique
-		return f * math.Exp2(f)
-	}
-}
+// cold. Enumeration effort is modeled as the predicted csg-cmp-pair
+// count (staticPairs, the same prediction the parallel gate reads)
+// times an amortized per-pair cost; the absolute constants are
+// order-of-magnitude calibrations from this repository's benchmarks,
+// which is enough to order the ladder rungs — the only decision the
+// router makes with them.
 
 // staticPlanCost turns the pair counts into a wall-time estimate for
 // one ladder rung. Estimates are clamped at one hour: beyond that the
 // ladder ordering is all that matters, and float exponentials for
 // hundred-relation cliques would overflow time.Duration.
-func staticPlanCost(shapeClass string, alg Algorithm, n, clusterSize int) time.Duration {
+func staticPlanCost(prof shape.Profile, alg Algorithm, clusterSize int) time.Duration {
 	const (
 		baseNs       = 30e3  // fixed per-call overhead: freeze, classify, memo setup
 		perPairNs    = 500.0 // amortized cost of one csg-cmp-pair (build + price)
 		perGreedyNs  = 4.0   // one GOO scan step; greedy performs O(n³) of them
 		perClusterNs = 2e3   // per-relation clustering overhead in the iterdp tier
 	)
+	n := prof.Rels
 	f := float64(n)
 	switch alg {
 	case Greedy:
 		return clampPredict(baseNs + f*f*f*perGreedyNs)
 	case IterDP:
 		if n <= clusterSize {
-			return clampPredict(baseNs + staticPairs(shapeClass, n)*perPairNs)
+			return clampPredict(baseNs + staticPairs(prof)*perPairNs)
 		}
 		// ~two compression rounds of ceil(n/cs) exact subproblems, each
 		// at cluster scale on the original topology, plus clustering.
 		subs := 2 * float64((n+clusterSize-1)/clusterSize)
-		return clampPredict(baseNs + f*perClusterNs + subs*staticPairs(shapeClass, clusterSize)*perPairNs)
+		return clampPredict(baseNs + f*perClusterNs + subs*staticPairs(clusterProfile(prof, clusterSize))*perPairNs)
 	default:
-		return clampPredict(baseNs + staticPairs(shapeClass, n)*perPairNs)
+		return clampPredict(baseNs + staticPairs(prof)*perPairNs)
 	}
+}
+
+// clusterProfile scales prof down to one k-relation subproblem of the
+// same topology: edge counts keep their per-relation rate, and no
+// relation has more than k-1 neighbors.
+func clusterProfile(prof shape.Profile, k int) shape.Profile {
+	sub := prof
+	sub.Rels = k
+	sub.SimpleEdges = prof.SimpleEdges * k / prof.Rels
+	sub.HyperEdges = prof.HyperEdges * k / prof.Rels
+	sub.MaxDegree = min(prof.MaxDegree, k-1)
+	return sub
 }
 
 func clampPredict(ns float64) time.Duration {

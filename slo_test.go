@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shape"
 	"repro/internal/workload"
 )
 
@@ -146,10 +147,11 @@ func TestPlanBudgetRoutingDeterministic(t *testing.T) {
 func TestPredictPlanTimeSourceOrder(t *testing.T) {
 	p := NewPlanner()
 	key := obs.Key{Shape: "clique", Algorithm: TopDown.String(), N: obs.NBucket(20)}
+	clique20 := shape.Classify(workload.Clique(20, workload.DefaultConfig()))
 
 	// Cold: static table. A 20-relation clique estimate is enormous
 	// (clamped at an hour).
-	if got := p.predictPlanTime("clique", TopDown, 20, DefaultClusterSize); got < time.Minute {
+	if got := p.predictPlanTime(clique20, TopDown, DefaultClusterSize); got < time.Minute {
 		t.Fatalf("cold static prediction = %v, want huge", got)
 	}
 
@@ -158,7 +160,7 @@ func TestPredictPlanTimeSourceOrder(t *testing.T) {
 	base := obs.NewPlanMetrics()
 	base.Observe(key, 2*time.Millisecond, false)
 	p.SetBaselineHistory(base.Snapshot())
-	if got := p.predictPlanTime("clique", TopDown, 20, DefaultClusterSize); got > 10*time.Millisecond {
+	if got := p.predictPlanTime(clique20, TopDown, DefaultClusterSize); got > 10*time.Millisecond {
 		t.Fatalf("baseline prediction = %v, want ~2ms", got)
 	}
 
@@ -167,14 +169,14 @@ func TestPredictPlanTimeSourceOrder(t *testing.T) {
 	for i := 0; i < sloMinSamples; i++ {
 		p.planObs.Observe(key, 80*time.Millisecond, false)
 	}
-	got := p.predictPlanTime("clique", TopDown, 20, DefaultClusterSize)
+	got := p.predictPlanTime(clique20, TopDown, DefaultClusterSize)
 	if got < 20*time.Millisecond || got > time.Second {
 		t.Fatalf("live prediction = %v, want ~100ms bucket", got)
 	}
 
 	// Removing the baseline keeps the live series in charge.
 	p.SetBaselineHistory(nil)
-	if again := p.predictPlanTime("clique", TopDown, 20, DefaultClusterSize); again != got {
+	if again := p.predictPlanTime(clique20, TopDown, DefaultClusterSize); again != got {
 		t.Fatalf("prediction changed after baseline removal: %v != %v", again, got)
 	}
 }
@@ -218,10 +220,13 @@ func TestPlanBudgetCacheHitRecordsSLO(t *testing.T) {
 // TestStaticPairsMonotone: within every shape class the static pair
 // estimate grows with n — the property rung ordering relies on.
 func TestStaticPairsMonotone(t *testing.T) {
-	for _, class := range []string{"chain", "cycle", "star", "clique", "grid", "mixed"} {
+	for _, class := range []shape.Class{shape.Chain, shape.Cycle, shape.Star, shape.Clique, shape.Grid, shape.Mixed} {
 		prev := 0.0
 		for n := 2; n <= 30; n++ {
-			got := staticPairs(class, n)
+			// Grid and mixed profiles carry a third more edges than a
+			// spanning tree, like the random §4 graphs.
+			prof := shape.Profile{Class: class, Rels: n, SimpleEdges: n - 1 + n/3, MaxDegree: 4}
+			got := staticPairs(prof)
 			if got <= prev {
 				t.Fatalf("%s: staticPairs(%d) = %g not > staticPairs(%d) = %g",
 					class, n, got, n-1, prev)
