@@ -286,8 +286,9 @@ func BenchmarkMemo(b *testing.B) {
 	// deferred-buckets measures the steady state of the pooled
 	// deferred-pricing cycle the parallel spines (DPhyp, DPccp, TopDown)
 	// run per query: record pairs into the per-worker pooled size
-	// buckets, fold the collect barrier, and price every level's
-	// buckets through the merged barriers. After warmup
+	// buckets, fold the collect barrier, and price every level's work
+	// units (ParRun.Chunk, the units PriceLevels' workers claim, priced
+	// round-robin here) through the merged barriers. After warmup
 	// the whole cycle is allocation-free. Two per-run costs are hoisted
 	// out because they are per-run by design, not per-pair: the
 	// Stats.WorkerPairs header (deliberately freshly allocated by
@@ -326,12 +327,17 @@ func BenchmarkMemo(b *testing.B) {
 			}
 			pr.Par.FinishLevel(memo.LevelCollected)
 			for s := 2; s <= n; s++ {
+				if _, ok := pr.Chunk(s, 0); !ok {
+					continue
+				}
 				pr.Par.StartLevel()
-				j := 0
-				for _, wb := range pr.Bs {
-					for _, r := range wb.Deferred(s) {
-						pr.Bs[j%workers].Engine.BuildDeferred(r.S1, r.S2)
-						j++
+				for k := 0; ; k++ {
+					chunk, ok := pr.Chunk(s, k)
+					if !ok {
+						break
+					}
+					for _, r := range chunk {
+						pr.Bs[k%workers].Engine.BuildDeferred(r.S1, r.S2)
 					}
 				}
 				pr.Par.FinishLevel(memo.LevelPriced)

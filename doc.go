@@ -176,25 +176,30 @@
 // poll interval, after which the usual Greedy fallback applies.
 //
 // Whether a run forks is decided by its predicted work, not its size:
-// the planner predicts the graph's csg-cmp-pair count from its shape
-// profile (the paper's §4 counts for chains, cycles, stars and
-// cliques, a fitted estimate for grids and mixed graphs) and forks
-// only from 6 000 predicted pairs. That crossover was measured on a
-// 2-vCPU box at GOMAXPROCS 2: below about 4 000 pairs two workers lost
-// or tied with serial (chain24 1.13×, star10 1.09×, cycle20 0.99×),
-// between 4 000 and 6 000 they gained at most 14%, and from 6 000 they
-// gained 20% or more (cycle24 0.79×, star12 0.79×, clique9 0.72×,
-// 13-relation random graphs 0.82×). So chains never fork inside the
-// exact tier, cycles fork from 24 relations, stars from 12, cliques
-// from 9, and random graphs from roughly 13. The same prediction feeds
-// the SLO router's static tables. Traced and observed runs (WithTrace, OnEmit, generate-and-test filters) are
-// also pinned serial. Graphs with dependent relations pass through a
-// cost-free admissibility precheck (dp.ParallelSafe): exactly one
-// dependent relation whose incident edges are all inner joins is
-// provably orientation-safe and plans parallel; more than one
-// dependent relation, or a dependent relation under a non-inner
-// operator, falls back to serial, where the builder's full
-// §5.6 dependency analysis applies. TopDown's parallel mode also
+// the planner predicts, from the graph's shape profile, the
+// csg-cmp-pair count every exact solver builds (the paper's §4 counts
+// for chains, cycles, stars and cliques, a fitted estimate for grids
+// and mixed graphs) and adds the failing tests of the generate-and-test
+// solvers: 3ⁿ/24 pairs for DPsub's and TopDown's subset tests, and 4.5
+// more per pair for DPsize's size-paired tests. A run forks only from
+// 6 000 predicted pairs. That crossover was measured on a 2-vCPU box at
+// GOMAXPROCS 2: below about 4 000 pairs two workers lost or tied with
+// serial (chain24 1.13×, star10 1.09×, cycle20 0.99×), between 4 000
+// and 6 000 they gained at most 14%, and from 6 000 they gained 20% or
+// more (cycle24 0.79×, star12 0.79×, clique9 0.72×, 13-relation random
+// graphs 0.82×). So on the SolverAuto route chains never fork inside
+// the exact tier, cycles fork from 24 relations, stars from 12, cliques
+// from 9, and random graphs from roughly 13; DPsub and TopDown named
+// directly fork from 11 relations on every shape, and DPsize from about
+// 1 100 pairs (cycle14, chain19, star10). The same prediction feeds the
+// SLO router's static tables. Traced and observed runs (WithTrace,
+// OnEmit, generate-and-test filters) are also pinned serial. Graphs
+// with dependent relations pass through a cost-free admissibility
+// precheck (dp.ParallelSafe): exactly one dependent relation whose
+// incident edges are all inner joins is provably orientation-safe and
+// plans parallel; more than one dependent relation, or a dependent
+// relation under a non-inner operator, falls back to serial, where the
+// builder's full §5.6 dependency analysis applies. TopDown's parallel mode also
 // requires fewer than 63 relations (its packed partition indices),
 // beyond which it plans serially. Stats.Workers and Stats.WorkerPairs
 // record the fan-out per run; PlannerMetrics.ParallelRuns and

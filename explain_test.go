@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shape"
 	"repro/internal/workload"
 )
 
@@ -168,12 +169,13 @@ func TestExplainParallelStaysParallel(t *testing.T) {
 	// star13 predicts 24 576 pairs, above the parallel crossover.
 	g := workload.Star(13, workload.DefaultConfig())
 	g.Freeze()
+	prof := shape.Classify(g)
 	o.explain = obs.NewTrace()
-	if w := o.workers(g, nil, nil); w != 4 {
+	if w := o.workers(prof, DPhyp, nil); w != 4 {
 		t.Fatalf("explain forced workers to %d, want 4", w)
 	}
 	o.trace = &Trace{}
-	if w := o.workers(g, nil, nil); w != 1 {
+	if w := o.workers(prof, DPhyp, nil); w != 1 {
 		t.Fatalf("core trace must still force serial, got %d", w)
 	}
 }

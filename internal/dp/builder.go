@@ -159,10 +159,6 @@ func (b *Builder) ResetPairs(n int) {
 	}
 }
 
-// Deferred returns the pairs this builder deferred whose result set has
-// s relations, in collection order.
-func (b *Builder) Deferred(s int) []PairRec { return b.levels[s] }
-
 // PairRec is one csg-cmp-pair whose pricing was deferred: the
 // enumerate-first parallel modes of DPhyp and DPccp collect the pairs
 // their (serial or per-start-vertex) enumeration admits, then price
@@ -190,7 +186,7 @@ const priceChunk = 128
 // carries the cause.
 func (pr *ParRun) PriceLevels() {
 	for s := 2; s <= pr.n; s++ {
-		if _, ok := pr.chunk(s, 0); !ok {
+		if _, ok := pr.Chunk(s, 0); !ok {
 			continue // no pairs of this size
 		}
 		pr.Par.StartLevel()
@@ -204,7 +200,7 @@ func (pr *ParRun) PriceLevels() {
 			go func() {
 				defer wg.Done()
 				for {
-					chunk, ok := pr.chunk(s, int(next.Add(1))-1)
+					chunk, ok := pr.Chunk(s, int(next.Add(1))-1)
 					if !ok || we.Aborted() != nil {
 						return
 					}
@@ -225,10 +221,12 @@ func (pr *ParRun) PriceLevels() {
 	}
 }
 
-// chunk returns the k-th work unit of level s: the levels' per-worker
-// buckets are cut into priceChunk-sized chunks, numbered in worker
-// order. ok is false past the last chunk.
-func (pr *ParRun) chunk(s, k int) (c []PairRec, ok bool) {
+// Chunk returns the k-th work unit of level s, the unit PriceLevels'
+// workers claim: the level's per-worker buckets are cut into
+// priceChunk-sized chunks, numbered in worker order, so k = 0, 1, …
+// visits every pair deferred at level s once. ok is false past the
+// last chunk.
+func (pr *ParRun) Chunk(s, k int) (c []PairRec, ok bool) {
 	lo := k * priceChunk
 	for _, wb := range pr.Bs {
 		bucket := wb.levels[s]

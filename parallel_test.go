@@ -14,42 +14,85 @@ import (
 	"repro/internal/workload"
 )
 
-// detGraph derives the i-th determinism-test graph: shapes and random
-// graphs mixed, every one above the parallel gate so the parallel
-// paths actually engage. The gate forks a run only when the graph's
-// predicted csg-cmp-pair count (staticPairs: the §4 count of its
-// shape) reaches parallelMinPairs, 6 000 pairs, the crossover measured
-// on a 2-vCPU box at GOMAXPROCS 2. Chains stay below it up to 33
-// relations and are left out. The even indices, which the TopDown
-// engagement test reads too, hold only graphs TopDown finishes in tens
-// of milliseconds: its partition search tests 2^(|S|-1) splits of
-// every connected set S, so a long sparse graph above the crossover (a
-// 24-cycle: about 2·10⁸ tests) is out of its reach.
-func detGraph(i int) *Graph {
+// forks reports whether the planner forks workers for g under alg at
+// the default parallelism: whether the predicted work of the algorithm
+// that actually runs (on SolverAuto, the serial route) reaches the
+// parallel gate, parallelMinWork. SolverAuto runs that route to Greedy
+// or IterDP never fork.
+func forks(g *Graph, alg Algorithm) bool {
+	g.Freeze()
+	prof := shape.Classify(g)
+	if alg == SolverAuto {
+		alg = routeAuto(prof, 1)
+		if alg == Greedy || alg == IterDP {
+			return false
+		}
+	}
+	return predictedWork(prof, alg) >= parallelMinWork
+}
+
+// aboveGate returns gen(k) for the first step k whose graph forks under
+// alg, or for the step after it (when that one forks too) on a coin
+// flip, so sizes vary from graph to graph while every draw stays above
+// the crossover.
+func aboveGate(rng *rand.Rand, alg Algorithm, gen func(k int) *Graph) *Graph {
+	grow := rng.Intn(2) == 1
+	for k := 0; k < 64; k++ {
+		g := gen(k)
+		if !forks(g, alg) {
+			continue
+		}
+		if grow {
+			if h := gen(k + 1); forks(h, alg) {
+				return h
+			}
+		}
+		return g
+	}
+	panic("no size above the parallel gate")
+}
+
+// gridSizes lists grids by ascending relation count, the steps
+// aboveGate walks for the grid cases.
+var gridSizes = [][2]int{{2, 4}, {2, 5}, {2, 6}, {3, 4}, {2, 7}, {3, 5}, {4, 4}, {3, 6}}
+
+// detGraph derives the i-th determinism-test graph for alg: shapes and
+// random graphs mixed, each drawn at the first or second size above the
+// parallel gate for alg, so the parallel paths actually engage. The
+// gate forks a run only when its predicted work (predictedWork: the §4
+// csg-cmp-pair count of the graph's shape, plus 3ⁿ/24 for DPsub's and
+// TopDown's subset tests) reaches parallelMinWork, 6 000 pairs, the
+// crossover measured on a 2-vCPU box at GOMAXPROCS 2. So TopDown draws
+// 11–12 relations on every shape, while DPhyp draws chains of 34–35
+// relations, cycles of 24–25 and stars of 12–13. Chains on the
+// SolverAuto route never fork — they reach the gate only past the
+// exact tier's 24-relation cutoff — so that case draws a 10–13-relation
+// chain and checks the serial route.
+func detGraph(i int, alg Algorithm) *Graph {
 	seed := int64(7000 + i)
 	rng := rand.New(rand.NewSource(seed))
 	cfg := workload.DefaultConfig()
 	cfg.Seed = seed
 	switch i % 8 {
 	case 0:
-		return workload.Star(12, cfg) // 11 264 pairs
+		if alg == SolverAuto {
+			return workload.Chain(10+rng.Intn(4), cfg)
+		}
+		return aboveGate(rng, alg, func(k int) *Graph { return workload.Chain(4+k, cfg) })
 	case 1:
-		return workload.Cycle(24, cfg) // 6 348 pairs
+		return aboveGate(rng, alg, func(k int) *Graph { return workload.Cycle(4+k, cfg) })
 	case 2:
-		return workload.Clique(9, cfg) // 9 330 pairs
+		return aboveGate(rng, alg, func(k int) *Graph { return workload.Star(4+k, cfg) })
 	case 3:
-		// A spanning tree predicts 2·1.75ⁿ ≥ 8 854 pairs from n = 15.
-		return workload.RandomHyper(rng, 15+rng.Intn(2), 1+rng.Intn(3), cfg)
+		return aboveGate(rng, alg, func(k int) *Graph { return workload.Clique(4+k, cfg) })
 	case 4:
-		return workload.Grid(2, 6, cfg) // 8 912 predicted pairs
+		return aboveGate(rng, alg, func(k int) *Graph { return workload.Grid(gridSizes[k][0], gridSizes[k][1], cfg) })
 	case 5:
-		return workload.CycleHyper(24, 1, cfg) // a 24-cycle with hyperedges
-	case 6:
-		return workload.RandomSimple(rng, 11, 20, cfg)
+		extra := 1 + rng.Intn(3)
+		return aboveGate(rng, alg, func(k int) *Graph { return workload.RandomHyper(rng, 6+k, extra, cfg) })
 	default:
-		// 2·1.75¹⁴·1.4ᵉ ≥ 7 084 predicted pairs once one of the extra
-		// edges lands (not on a self-loop or a duplicate).
-		return workload.RandomSimple(rng, 14, 2+rng.Intn(3), cfg)
+		extra := rng.Intn(5)
+		return aboveGate(rng, alg, func(k int) *Graph { return workload.RandomSimple(rng, 6+k, extra, cfg) })
 	}
 }
 
@@ -70,7 +113,7 @@ func TestParallelPlansDeterministic(t *testing.T) {
 	par4 := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0), WithParallelism(4))
 
 	for i := 0; i < graphs; i++ {
-		g := detGraph(i)
+		g := detGraph(i, SolverAuto)
 		rs, err := serial.PlanGraph(ctx, g)
 		if err != nil {
 			t.Fatalf("graph %d serial: %v", i, err)
@@ -103,25 +146,28 @@ func TestParallelPlansDeterministic(t *testing.T) {
 	}
 }
 
-// depGraph derives the i-th dependent-relation graph: a join-only shape
-// above the parallel crossover that TopDown finishes quickly (see
-// detGraph), with exactly one relation marked dependent on relation 0
-// — the class the dp.ParallelSafe admissibility precheck admits (every
-// emitted pair keeps at least one valid orientation, so memo
-// membership stays purely structural).
-func depGraph(i int) *Graph {
+// depGraph derives the i-th dependent-relation graph for alg: a
+// join-only shape at the first or second size above the parallel gate
+// for alg (see detGraph), with exactly one relation marked dependent on
+// relation 0 — the class the dp.ParallelSafe admissibility precheck
+// admits (every emitted pair keeps at least one valid orientation, so
+// memo membership stays purely structural). The shape steps with i/2,
+// so the odd indices the engagement test draws reach every case.
+func depGraph(i int, alg Algorithm) *Graph {
 	seed := int64(9000 + i)
 	rng := rand.New(rand.NewSource(seed))
 	cfg := workload.DefaultConfig()
 	cfg.Seed = seed
 	var g *Graph
-	switch i % 3 {
+	switch (i / 2) % 4 {
 	case 0:
-		g = workload.RandomSimple(rng, 11, 20, cfg)
+		g = aboveGate(rng, alg, func(k int) *Graph { return workload.Chain(4+k, cfg) })
 	case 1:
-		g = workload.Star(12, cfg)
+		g = aboveGate(rng, alg, func(k int) *Graph { return workload.Cycle(4+k, cfg) })
+	case 2:
+		g = aboveGate(rng, alg, func(k int) *Graph { return workload.Star(4+k, cfg) })
 	default:
-		g = workload.Grid(2, 6, cfg)
+		g = aboveGate(rng, alg, func(k int) *Graph { return workload.Grid(gridSizes[k][0], gridSizes[k][1], cfg) })
 	}
 	g.SetFree(1+rng.Intn(g.NumRels()-1), bitset.New(0))
 	return g
@@ -133,12 +179,11 @@ func depGraph(i int) *Graph {
 // relation — previously blanket-rejected by dp.ParallelSafe, now
 // admitted by the precheck — and every parallel run must actually
 // engage its workers (Stats.Workers), not silently fall back to serial.
+// Each algorithm draws its graphs above its own crossover (detGraph,
+// depGraph): DPhyp's from the csg-cmp-pair count alone, TopDown's with
+// its 3ⁿ/24 partition tests added.
 func TestNewParallelModesDeterministic(t *testing.T) {
-	// Every graph sits above the parallel crossover: serial DPhyp
-	// builds 1.27 million pairs over these 100 graphs, against 0.55
-	// million over the 200 smaller graphs this test drew when the gate
-	// was a relation count. 100 keeps the -race job near its old length.
-	graphs := 100
+	graphs := 200
 	if testing.Short() {
 		graphs = 20
 	}
@@ -155,9 +200,9 @@ func TestNewParallelModesDeterministic(t *testing.T) {
 		for i := 0; i < graphs; i++ {
 			var g *Graph
 			if i%2 == 0 {
-				g = detGraph(i)
+				g = detGraph(i, alg)
 			} else {
-				g = depGraph(i)
+				g = depGraph(i, alg)
 			}
 			rs, err := serial.PlanGraph(ctx, g)
 			if err != nil {
@@ -257,11 +302,12 @@ func TestParallelSmallQueriesStaySerial(t *testing.T) {
 }
 
 // TestParallelGateCrossover: at default parallelism each §4 shape plans
-// serially just below the predicted-pairs crossover (parallelMinPairs,
-// 6 000 pairs of staticPairs) and with every allowed worker just above
-// it. Chains only cross it past SolverAuto's exact cutoff, so they
-// name DPhyp. On a single-CPU runner the default cap is one worker and
-// every case plans serially.
+// serially just below the predicted-work crossover (parallelMinWork,
+// 6 000 pairs of predictedWork) and with every allowed worker just
+// above it, on the SolverAuto route and for the generate-and-test
+// solvers named directly. Chains only cross it for DPhyp past
+// SolverAuto's exact cutoff, so they name DPhyp. On a single-CPU runner
+// the default cap is one worker and every case plans serially.
 func TestParallelGateCrossover(t *testing.T) {
 	cfg := workload.DefaultConfig()
 	cases := []struct {
@@ -276,20 +322,25 @@ func TestParallelGateCrossover(t *testing.T) {
 		{"cycle24", workload.Cycle(24, cfg), SolverAuto, true},               // 6 348
 		{"star11", workload.Star(11, cfg), SolverAuto, false},                // 5 120
 		{"star12", workload.Star(12, cfg), SolverAuto, true},                 // 11 264
-		{"clique8", workload.Clique(8, cfg), SolverAuto, false},              // 3 025
-		{"clique9", workload.Clique(9, cfg), SolverAuto, true},               // 9 330
+		{"clique8", workload.Clique(8, cfg), SolverAuto, false},              // 3 025 + 3⁸/24
+		{"clique9", workload.Clique(9, cfg), SolverAuto, true},               // 9 330 + 3⁹/24
 		{"grid2x5", workload.Grid(2, 5, cfg), SolverAuto, false},             // 2 063 predicted
 		{"grid2x6", workload.Grid(2, 6, cfg), SolverAuto, true},              // 8 912 predicted
 		{"cyclehyper22", workload.CycleHyper(22, 1, cfg), SolverAuto, false}, // 4 851
 		{"cyclehyper24", workload.CycleHyper(24, 1, cfg), SolverAuto, true},  // 6 348
+		{"dpsub-chain10", workload.Chain(10, cfg), DPsub, false},             // 165 + 3¹⁰/24 = 2 625
+		{"dpsub-chain11", workload.Chain(11, cfg), DPsub, true},              // 220 + 3¹¹/24 = 7 601
+		{"topdown-star10", workload.Star(10, cfg), TopDown, false},           // 2 304 + 2 460
+		{"topdown-star11", workload.Star(11, cfg), TopDown, true},            // 5 120 + 7 381
+		{"dpsize-cycle13", workload.Cycle(13, cfg), DPsize, false},           // 5.5 × 936
+		{"dpsize-cycle14", workload.Cycle(14, cfg), DPsize, true},            // 5.5 × 1 183
 	}
 	parallel := min(runtime.GOMAXPROCS(0), 64)
 	p := NewPlanner(WithPlanCacheSize(0))
 	for _, c := range cases {
-		c.g.Freeze()
-		if pred := staticPairs(shape.Classify(c.g)); (pred >= parallelMinPairs) != c.above {
-			t.Fatalf("%s: predicts %.0f pairs, on the wrong side of the %d crossover for this case",
-				c.name, pred, parallelMinPairs)
+		if forks(c.g, c.alg) != c.above {
+			t.Fatalf("%s: predicted work on the wrong side of the %d crossover for this case",
+				c.name, parallelMinWork)
 		}
 		res, err := p.PlanGraph(context.Background(), c.g, WithAlgorithm(c.alg))
 		if err != nil {
@@ -366,7 +417,7 @@ func TestParallelConcurrentPlans(t *testing.T) {
 	p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(4), WithParallelism(2))
 	graphs := make([]*Graph, 8)
 	for i := range graphs {
-		graphs[i] = detGraph(i)
+		graphs[i] = detGraph(i, SolverAuto)
 	}
 	want := make([]float64, len(graphs))
 	for i, g := range graphs {

@@ -401,16 +401,17 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	// onto the Stats of whichever path produced the result.
 	// Classification costs one allocation-free O(V+E) pass — the same
 	// order as the Fingerprint scan every cached call already pays. The
-	// same profile sizes the run's worker count; par stays 0 until a
-	// cache miss needs it, so a named-algorithm hit never classifies.
+	// same profile sizes the run's worker count: the serial route's
+	// predicted work decides whether the run forks, and a forking
+	// clique then takes the parallel route (see routeAuto).
 	annotate := func(*dp.Stats) {}
 	slo := sloState{budget: o.planBudget}
-	par := 0
-	if o.alg == SolverAuto {
+	auto := o.alg == SolverAuto
+	var prof shape.Profile
+	if auto {
 		span := o.explain.Start(obs.PhaseRoute)
-		prof := shape.Classify(g)
-		par = o.workers(g, &prof, filter)
-		routed := routeAuto(prof, par)
+		prof = shape.Classify(g)
+		routed := routeAuto(prof, o.workers(prof, routeAuto(prof, 1), filter))
 		final := routed
 		if slo.budget > 0 {
 			// Budget-aware routing happens before the cache lookup for
@@ -467,10 +468,10 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	if o.alg != IterDP {
 		espan = o.explain.Start(obs.PhaseEnumerate)
 	}
-	if par == 0 {
-		par = o.workers(g, nil, filter)
+	if !auto {
+		prof = shape.Classify(g) // a named algorithm classifies on a miss only
 	}
-	pl, st, err := runSolver(g, o, filter, par)
+	pl, st, err := runSolver(g, o, filter, o.workers(prof, o.alg, filter))
 	o.explain.Annotate(espan, int64(st.CsgCmpPairs), st.TableEntries, st.Workers, 0)
 	o.explain.End(espan)
 	if err != nil {

@@ -270,17 +270,18 @@ func WithoutGreedyFallback() Option { return func(o *options) { o.noFallback = t
 
 // WithParallelism caps the workers one enumeration may use. The
 // default (0) is runtime.GOMAXPROCS; 1 pins every run to the serial
-// engine. Whether a run forks at all is decided per graph: it uses the
-// cap only when the graph's predicted csg-cmp-pair count (the paper's
-// §4 count for its shape) reaches 6 000 — the crossover measured on a
-// 2-vCPU box: below about 4 000 pairs two workers lost or tied with
-// serial, and from 6 000 they won by 20% or more — and plans serially
-// otherwise. Traced or observed runs and generate-and-test filters
-// always plan serially, since ordering guarantees would be lost.
-// Parallelism never changes the plan: worker results merge under an
-// order-independent tie-break, so plans are byte-identical across
-// worker counts (and to serial), which is also why the plan cache
-// ignores this knob.
+// engine. Whether a run forks at all is decided per graph and
+// algorithm: it uses the cap only when the run's predicted work — the
+// paper's §4 csg-cmp-pair count for the graph's shape, plus the
+// failing tests of DPsub, TopDown and DPsize — reaches 6 000 pairs,
+// the crossover measured on a 2-vCPU box (below about 4 000 pairs two
+// workers lost or tied with serial, and from 6 000 they won by 20% or
+// more), and plans serially otherwise. Traced or observed runs and
+// generate-and-test filters always plan serially, since ordering
+// guarantees would be lost. Parallelism never changes the plan: worker
+// results merge under an order-independent tie-break, so plans are
+// byte-identical across worker counts (and to serial), which is also
+// why the plan cache ignores this knob.
 func WithParallelism(n int) Option { return func(o *options) { o.parallelism = n } }
 
 // DefaultClusterSize is the IterDP subproblem budget unless overridden
@@ -294,27 +295,19 @@ const DefaultClusterSize = iterdp.DefaultClusterSize
 // exponentially more enumeration time per subproblem.
 func WithClusterSize(n int) Option { return func(o *options) { o.clusterSize = n } }
 
-// workers resolves the effective worker count for one enumeration of
-// g: the WithParallelism cap when the predicted pair count reaches
-// parallelMinPairs, one otherwise. prof is g's profile when the caller
-// already has it; nil classifies g here, and only when the cap and the
-// hooks would allow a fork at all. Observation hooks need the serial
-// emission order; filters carry per-analysis state the worker builders
-// must not share.
-func (o *options) workers(g *Graph, prof *shape.Profile, filter dp.Filter) int {
+// workers resolves the effective worker count for one enumeration by
+// alg of a graph with profile prof: the WithParallelism cap when
+// predictedWork reaches parallelMinWork, one otherwise. Observation
+// hooks need the serial emission order; filters carry per-analysis
+// state the worker builders must not share.
+func (o *options) workers(prof shape.Profile, alg Algorithm, filter dp.Filter) int {
 	w := o.parallelism
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	w = min(w, 64)
-	if w <= 1 || filter != nil || o.trace != nil || o.onEmit != nil {
-		return 1
-	}
-	if prof == nil {
-		p := shape.Classify(g)
-		prof = &p
-	}
-	if staticPairs(*prof) < parallelMinPairs {
+	if w <= 1 || filter != nil || o.trace != nil || o.onEmit != nil ||
+		predictedWork(prof, alg) < parallelMinWork {
 		return 1
 	}
 	return w

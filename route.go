@@ -32,8 +32,7 @@ const autoMaxGreedyRels = 64
 
 // staticPairs predicts how many csg-cmp pairs an exact enumeration of
 // a graph with profile p emits: the paper's §4 measure of enumeration
-// work, and the one number both the parallel gate (parallelMinPairs)
-// and the SLO static tables (staticPlanCost) read. The canonical
+// work, and the base of predictedWork. The canonical
 // shapes use the exact §4 counts, which DPhyp's Stats.CsgCmpPairs
 // matches pair for pair:
 //
@@ -77,25 +76,62 @@ func staticPairs(p shape.Profile) float64 {
 	}
 }
 
-// parallelMinPairs is the predicted pair count (staticPairs) from
-// which an enumeration forks workers; below it every run is serial,
-// whatever WithParallelism allows. It was measured on a 2-vCPU box at
-// GOMAXPROCS 2, timing each routed solver serially and at 2 workers on
-// the same pooled engine (medians of 9 interleaved runs per graph, 9
-// graphs per random size). Two workers lose or tie below about 4 000
-// actual pairs: chain24 (2 300 pairs) took 1.13× the serial time,
-// star10 (2 304) 1.09×, cycle20 (3 610) 0.99×, random 11-relation
-// graphs (1 200–3 000) 1.08× and 14-relation hypergraphs (1 800–5 700)
-// 0.97×. Between about 4 000 and 6 000 they gain up to 14%: star11
-// (5 120) 0.93×, cycle23 (5 566) 0.86×, random 12-relation graphs
-// (2 500–6 700) 0.92×. From about 6 000 they gain 20% or more: cycle24
-// (6 348) 0.79×, the 2×6 grid (6 244) 0.74×, star12 (11 264) 0.79×,
-// random 13-relation graphs (1 900–11 400) 0.82×, clique9 on DPsub
-// (9 330) 0.72× of serial TopDown. The constant sits at the top of the
-// marginal band: the grid and mixed estimate is a median that single
-// graphs miss by up to 2× either way, and every fork retains worker
-// scratch on the pooled engine, so a fork has to win clearly.
-const parallelMinPairs = 6000
+// predictedWork is the planner's one prediction of how much work an
+// exact enumeration of a graph with profile p costs alg, in csg-cmp
+// pairs: the parallel gate (parallelMinWork) and the SLO static tables
+// (staticPlanCost) both read it. Every exact solver builds the
+// staticPairs(p) pairs. DPhyp and DPccp enumerate nothing else. The
+// generate-and-test solvers add their failing tests, weighted by where
+// two workers started to beat serial for them on a 2-vCPU box at
+// GOMAXPROCS 2 (medians of 5 to 11 interleaved runs on chains, cycles
+// and stars):
+//
+//   - DPsub probes every subset of every relation set, 3ⁿ steps
+//     whatever the shape, and TopDown's partition search tests about
+//     as many splits. Both crossed at about 11 relations on all three
+//     shapes (at 10: 0.98–1.50× of serial, at 11: 0.76–1.23×, at 12:
+//     0.60–1.12×, from 13 on 0.52–0.75×), so 3ⁿ/24 puts every
+//     11-relation graph (7 381 + pairs) above the gate and every
+//     10-relation sparse graph (2 460 + pairs) below it.
+//   - DPsize pairs every plan of size s1 with every plan of size
+//     s − s1 and pays a connectivity test for each disjoint
+//     candidate. It crossed at about 1 100 emitted pairs on chains
+//     and cycles (chain18, 969 pairs: 0.90×; chain20, 1 330: 0.79×;
+//     cycle13, 936: 1.07×; cycle14, 1 183: 0.93×) and between star9
+//     (1 024: 1.42×) and star10 (2 304: 0.96×), so each pair counts
+//     5.5.
+func predictedWork(p shape.Profile, alg Algorithm) float64 {
+	pairs := staticPairs(p)
+	switch alg {
+	case DPsub, TopDown:
+		return pairs + math.Pow(3, float64(p.Rels))/24
+	case DPsize:
+		return 5.5 * pairs
+	default:
+		return pairs
+	}
+}
+
+// parallelMinWork is the predicted work (predictedWork, in csg-cmp
+// pairs) from which an enumeration forks workers; below it every run
+// is serial, whatever WithParallelism allows. It was measured on a
+// 2-vCPU box at GOMAXPROCS 2, timing each routed solver serially and
+// at 2 workers on the same pooled engine (medians of 9 interleaved
+// runs per graph, 9 graphs per random size). Two workers lose or tie
+// below about 4 000 actual pairs: chain24 (2 300 pairs) took 1.13×
+// the serial time, star10 (2 304) 1.09×, cycle20 (3 610) 0.99×,
+// random 11-relation graphs (1 200–3 000) 1.08× and 14-relation
+// hypergraphs (1 800–5 700) 0.97×. Between about 4 000 and 6 000 they
+// gain up to 14%: star11 (5 120) 0.93×, cycle23 (5 566) 0.86×, random
+// 12-relation graphs (2 500–6 700) 0.92×. From about 6 000 they gain
+// 20% or more: cycle24 (6 348) 0.79×, the 2×6 grid (6 244) 0.74×,
+// star12 (11 264) 0.79×, random 13-relation graphs (1 900–11 400)
+// 0.82×, clique9 on DPsub (9 330) 0.72× of serial TopDown. The
+// constant sits at the top of the marginal band: the grid and mixed
+// estimate is a median that single graphs miss by up to 2× either
+// way, and every fork retains worker scratch on the pooled engine, so
+// a fork has to win clearly.
+const parallelMinWork = 6000
 
 // routeAuto maps a topology profile to the enumeration algorithm,
 // following the crossover data of the paper's evaluation (§4):
@@ -129,10 +165,11 @@ const parallelMinPairs = 6000
 // space, so routing never changes the cost of the returned plan — only
 // the time to find it.
 //
-// workers is the call's worker count after the parallel gate: more
-// than one only when staticPairs(p) reaches parallelMinPairs (clique9
-// and up). It matters in one place: parallel cliques route to the
-// level-parallel DPsub instead of TopDown. TopDown has its own parallel
+// workers is the call's worker count after the parallel gate, sized
+// by the serial route's predicted work (routeAuto(p, 1)): more than
+// one only when predictedWork reaches parallelMinWork (clique9 and up,
+// for cliques). It matters in one place: parallel cliques route to
+// the level-parallel DPsub instead of TopDown. TopDown has its own parallel
 // partition search, but on a clique both solvers walk the same Θ(3ⁿ)
 // partition space, and DPsub prices pairs in place during its level
 // sweep while parallel TopDown pays an extra collect-then-price pass

@@ -17,9 +17,10 @@ package repro
 //     typically the persisted history a server loaded at startup, so a
 //     restarted process routes with yesterday's measurements instead of
 //     re-learning them.
-//  3. Static tables derived from the predicted csg-cmp-pair count
-//     (staticPairs, the paper's §4 counts) — crude, but deterministic
-//     and monotone in n, which is all a cold router needs to order the
+//  3. Static tables derived from the predicted work (predictedWork:
+//     the paper's §4 csg-cmp-pair counts plus the failing tests of the
+//     generate-and-test solvers) — crude, but deterministic and
+//     monotone in n, which is all a cold router needs to order the
 //     rungs.
 //
 // The predictions self-correct: a mis-predicted rung costs one slow (or
@@ -185,12 +186,12 @@ func (p *Planner) recordSLO(st *Stats, s sloState, alg Algorithm, elapsed time.D
 }
 
 // Static prediction tables, used only while both measured sources are
-// cold. Enumeration effort is modeled as the predicted csg-cmp-pair
-// count (staticPairs, the same prediction the parallel gate reads)
-// times an amortized per-pair cost; the absolute constants are
-// order-of-magnitude calibrations from this repository's benchmarks,
-// which is enough to order the ladder rungs — the only decision the
-// router makes with them.
+// cold. Enumeration effort is modeled as the predicted work of the
+// rung's algorithm in csg-cmp pairs (predictedWork, the same
+// prediction the parallel gate reads) times an amortized per-pair
+// cost; the absolute constants are order-of-magnitude calibrations
+// from this repository's benchmarks, which is enough to order the
+// ladder rungs — the only decision the router makes with them.
 
 // staticPlanCost turns the pair counts into a wall-time estimate for
 // one ladder rung. Estimates are clamped at one hour: beyond that the
@@ -210,14 +211,14 @@ func staticPlanCost(prof shape.Profile, alg Algorithm, clusterSize int) time.Dur
 		return clampPredict(baseNs + f*f*f*perGreedyNs)
 	case IterDP:
 		if n <= clusterSize {
-			return clampPredict(baseNs + staticPairs(prof)*perPairNs)
+			return clampPredict(baseNs + predictedWork(prof, DPhyp)*perPairNs)
 		}
 		// ~two compression rounds of ceil(n/cs) exact subproblems, each
 		// at cluster scale on the original topology, plus clustering.
 		subs := 2 * float64((n+clusterSize-1)/clusterSize)
-		return clampPredict(baseNs + f*perClusterNs + subs*staticPairs(clusterProfile(prof, clusterSize))*perPairNs)
+		return clampPredict(baseNs + f*perClusterNs + subs*predictedWork(clusterProfile(prof, clusterSize), DPhyp)*perPairNs)
 	default:
-		return clampPredict(baseNs + staticPairs(prof)*perPairNs)
+		return clampPredict(baseNs + predictedWork(prof, alg)*perPairNs)
 	}
 }
 
