@@ -40,10 +40,11 @@ func newPlanCache(capacity int) *planCache {
 
 // get returns a Result for key, or false. The returned Result carries a
 // clone of the cached plan, the original run's Stats with CacheHit set,
-// and no Graph (the caller fills in the graph it planned against).
-func (c *planCache) get(key string) (*Result, bool) {
+// and no Graph (the caller fills in the graph it planned against). The
+// key is looked up as bytes, so the lookup itself allocates nothing.
+func (c *planCache) get(key []byte) (*Result, bool) {
 	c.mu.Lock()
-	el, ok := c.m[key]
+	el, ok := c.m[string(key)]
 	if !ok {
 		c.mu.Unlock()
 		return nil, false

@@ -93,10 +93,20 @@ type Graph struct {
 	// Definition-3 connectivity memo, invalidated on mutation.
 	// Keyed by Set.Key (Set itself is not a valid map key).
 	connMemo map[string]bool
+
+	// fingerprint memoizes Fingerprint; "" until computed (a computed
+	// fingerprint is never empty), cleared on mutation.
+	fingerprint string
 }
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
+
+// NewSized returns an empty graph with room for rels relations and
+// edges edges, for callers that know the sizes up front.
+func NewSized(rels, edges int) *Graph {
+	return &Graph{rels: make([]Relation, 0, rels), edges: make([]Edge, 0, edges)}
+}
 
 // AddRelation appends a relation and returns its node index. Cardinality
 // must be positive. Node indices determine the total order ≺ of §2.1.
@@ -162,6 +172,7 @@ func (g *Graph) SetFree(rel int, free bitset.Set) {
 		panic("hypergraph: free set references unknown relations")
 	}
 	g.rels[rel].Free = free
+	g.invalidate()
 }
 
 // FreeTables returns FT(S): the tables referenced freely by the
@@ -195,6 +206,7 @@ func (g *Graph) AllNodes() bitset.Set { return bitset.Full(len(g.rels)) }
 func (g *Graph) invalidate() {
 	g.dirty = true
 	g.connMemo = nil
+	g.fingerprint = ""
 }
 
 // Freeze eagerly builds the derived indexes under the graph's lock.
@@ -763,9 +775,22 @@ func (g *Graph) Dot() string {
 // structurally identical queries share a fingerprint and can share a
 // cached plan. Edge order is part of the key because plans reference
 // edges by index.
+//
+// The fingerprint is computed once and memoized under the graph's
+// lock, like the neighbour index; mutation through the Graph's methods
+// clears it.
 func (g *Graph) Fingerprint() string {
-	var b []byte
-	b = strconv.AppendInt(b, int64(len(g.rels)), 10)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.fingerprint == "" {
+		g.fingerprint = g.computeFingerprint()
+	}
+	return g.fingerprint
+}
+
+func (g *Graph) computeFingerprint() string {
+	var buf [1024]byte // graphs of up to ~15 relations fit; the rest grow
+	b := strconv.AppendInt(buf[:0], int64(len(g.rels)), 10)
 	for i := range g.rels {
 		r := &g.rels[i]
 		b = append(b, '|')

@@ -517,3 +517,31 @@ func BenchmarkNeighborhoodHyper(b *testing.B) {
 		g.Neighborhood(S, S)
 	}
 }
+
+// TestFingerprintMemoInvalidated: the memoized fingerprint is reused
+// while the graph is unchanged and recomputed after every kind of
+// mutation.
+func TestFingerprintMemoInvalidated(t *testing.T) {
+	g := New()
+	g.AddRelation("a", 10)
+	g.AddRelation("b", 20)
+	g.AddSimpleEdge(0, 1, 0.5)
+	fp := g.Fingerprint()
+	if allocs := testing.AllocsPerRun(10, func() { _ = g.Fingerprint() }); allocs != 0 {
+		t.Errorf("memoized Fingerprint allocates %.0f times", allocs)
+	}
+	seen := map[string]bool{fp: true}
+	for _, mutate := range []func(){
+		func() { g.AddRelation("c", 30) },
+		func() { g.SetFree(2, bitset.Single(0)) },
+		func() { g.MakeConnected() }, // c is isolated: adds a cross edge
+		func() { g.AddSimpleEdge(1, 2, 0.25) },
+	} {
+		mutate()
+		fresh := g.Clone().Fingerprint()
+		if got := g.Fingerprint(); got != fresh || seen[got] {
+			t.Fatalf("after mutation: fingerprint %q, recomputed %q (stale: %v)", got, fresh, seen[got])
+		}
+		seen[g.Fingerprint()] = true
+	}
+}

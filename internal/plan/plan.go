@@ -215,17 +215,54 @@ func (n *Node) Equal(m *Node) bool {
 // Clone returns a deep copy of the tree, including the applied-edge
 // slices. The planner's plan cache hands out clones so that one caller
 // mutating a returned plan cannot corrupt another caller's result.
+// The copy's nodes share one allocation and its edge lists another
+// (capacity-capped, so appending to one copies it); empty edge lists
+// come back nil.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	c := *n
-	c.Left = n.Left.Clone()
-	c.Right = n.Right.Clone()
-	if n.Edges != nil {
-		c.Edges = append([]int(nil), n.Edges...)
+	var c cloner
+	nodes, edges := n.size()
+	c.nodes = make([]Node, 0, nodes)
+	if edges > 0 {
+		c.edges = make([]int, 0, edges)
 	}
-	return &c
+	return c.clone(n)
+}
+
+// size returns the number of nodes and of applied edges in the tree.
+func (n *Node) size() (nodes, edges int) {
+	if n == nil {
+		return 0, 0
+	}
+	ln, le := n.Left.size()
+	rn, re := n.Right.size()
+	return 1 + ln + rn, len(n.Edges) + le + re
+}
+
+// cloner fills a Clone's preallocated node and edge stores in
+// pre-order.
+type cloner struct {
+	nodes []Node
+	edges []int
+}
+
+func (c *cloner) clone(n *Node) *Node {
+	if n == nil {
+		return nil
+	}
+	c.nodes = append(c.nodes, *n)
+	m := &c.nodes[len(c.nodes)-1]
+	m.Edges = nil
+	if len(n.Edges) > 0 {
+		start := len(c.edges)
+		c.edges = append(c.edges, n.Edges...)
+		m.Edges = c.edges[start:len(c.edges):len(c.edges)]
+	}
+	m.Left = c.clone(n.Left)
+	m.Right = c.clone(n.Right)
+	return m
 }
 
 // Walk calls f for every node in pre-order.

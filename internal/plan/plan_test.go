@@ -180,3 +180,30 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("expected leaf rels violation")
 	}
 }
+
+// TestCloneIsDeepAndCompact: a clone equals its source, owns its nodes
+// and edge lists, and costs two allocations (nodes, edges) whatever the
+// tree's size.
+func TestCloneIsDeepAndCompact(t *testing.T) {
+	src := Join(algebra.Join, leftDeep3(), Join(algebra.Join, Leaf(3, 10), Leaf(4, 20), []int{2, 3}, 5, 5), []int{4}, 7, 200)
+	src.Left.Left.Edges = []int{} // empty lists come back nil
+	c := src.Clone()
+	if !c.Equal(src) || c.String() != src.String() {
+		t.Fatalf("clone differs:\n%s\nwant\n%s", c, src)
+	}
+	if c.Left.Left.Edges != nil {
+		t.Errorf("empty edge list cloned as %#v, want nil", c.Left.Left.Edges)
+	}
+	c.Right.Edges[0] = 99
+	c.Left.Left.Card = -1
+	c.Right.Edges = append(c.Right.Edges, 100) // must not overwrite a neighbour's list
+	if src.Right.Edges[0] != 2 || src.Left.Left.Card != 50 || c.Edges[0] != 4 {
+		t.Errorf("clone shares storage with its source or its own lists overlap")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = src.Clone() }); allocs != 2 {
+		t.Errorf("Clone: %.0f allocations, want 2", allocs)
+	}
+	if (*Node)(nil).Clone() != nil {
+		t.Error("nil clone is not nil")
+	}
+}

@@ -4,16 +4,25 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/bitset"
 	"repro/internal/hypergraph"
+	"repro/internal/jsonscan"
 	"repro/internal/optree"
 )
 
 // QueryJSON is the on-disk query format shared by cmd/joinorder and
 // cmd/querygen. A query is either a hypergraph (Relations + Edges) or an
 // initial operator tree (Relations + Tree) for non-inner-join queries.
+//
+// Documents in a canonical JSON subset decode without reflection (see
+// DecodeQueryJSON). The rule for every such fast path: it declines
+// whatever it cannot decode exactly as encoding/json does, and
+// encoding/json then decodes that input, so values and error texts are
+// always encoding/json's. The serving layer's response encoder follows
+// the same rule for output: its bytes equal encoding/json's.
 type QueryJSON struct {
 	Relations []RelationJSON `json:"relations"`
 	Edges     []EdgeJSON     `json:"edges,omitempty"`
@@ -48,8 +57,18 @@ type TreeJSON struct {
 	Label string    `json:"label,omitempty"`
 }
 
-// ParseQuery decodes a QueryJSON document.
+// ParseQuery decodes a QueryJSON document. Documents in the canonical
+// subset (see DecodeQueryJSON) decode without reflection; any other
+// input goes to encoding/json, so its values and error texts are
+// encoding/json's own.
 func ParseQuery(data []byte) (*QueryJSON, error) {
+	src := string(data)
+	if q, n, ok := DecodeQueryJSON(src); ok && strings.TrimLeft(src[n:], " \t\n\r") == "" {
+		if err := q.Validate(); err != nil {
+			return nil, err
+		}
+		return q, nil
+	}
 	var q QueryJSON
 	if err := json.Unmarshal(data, &q); err != nil {
 		return nil, fmt.Errorf("repro: parsing query: %w", err)
@@ -58,6 +77,194 @@ func ParseQuery(data []byte) (*QueryJSON, error) {
 		return nil, err
 	}
 	return &q, nil
+}
+
+// DecodeQueryJSON decodes the query document at the start of src
+// without reflection, returning it with the number of bytes it
+// consumed; what follows the document is left to the caller. It
+// accepts only the canonical subset: exact-case known keys, no key
+// twice, no null, strings of printable ASCII without escapes,
+// JSON-grammar numbers, and plain integers for the index lists. On
+// anything else ok is false, and the caller decodes the input with
+// encoding/json instead — so an accepted document decodes to exactly
+// the value json.Unmarshal produces (empty lists stay non-nil, absent
+// ones nil), and every rejected one keeps encoding/json's result and
+// error text. The decoded strings share one copy of src.
+func DecodeQueryJSON(src string) (q *QueryJSON, n int, ok bool) {
+	d := queryDecoder{s: jsonscan.New(src)}
+	q = d.query()
+	if !d.s.OK() {
+		return nil, 0, false
+	}
+	return q, d.s.Pos(), true
+}
+
+// maxTreeDepth bounds the operator-tree nesting DecodeQueryJSON
+// recurses into; deeper documents are left to encoding/json, whose own
+// limit is 10 000 levels of JSON nesting.
+const maxTreeDepth = 512
+
+// queryDecoder decodes one document for DecodeQueryJSON.
+type queryDecoder struct {
+	s     jsonscan.Scanner
+	ints  []int // backing store the document's index lists are cut from
+	depth int
+}
+
+func (d *queryDecoder) query() *QueryJSON {
+	if !d.s.Expect('{') {
+		return nil
+	}
+	q := &QueryJSON{}
+	var seen uint8
+	for first := true; d.s.More('}', first); first = false {
+		switch d.s.Key() {
+		case "relations":
+			d.s.Once(&seen, 1)
+			q.Relations = d.relations()
+		case "edges":
+			d.s.Once(&seen, 2)
+			q.Edges = d.edges()
+		case "tree":
+			d.s.Once(&seen, 4)
+			q.Tree = d.tree()
+		default:
+			d.s.Fail()
+		}
+	}
+	return q
+}
+
+func (d *queryDecoder) relations() []RelationJSON {
+	if !d.s.Expect('[') {
+		return nil
+	}
+	var buf [16]RelationJSON
+	rels := buf[:0]
+	for first := true; d.s.More(']', first); first = false {
+		var r RelationJSON
+		var seen uint8
+		d.s.Expect('{')
+		for f := true; d.s.More('}', f); f = false {
+			switch d.s.Key() {
+			case "name":
+				d.s.Once(&seen, 1)
+				r.Name = d.s.Str()
+			case "card":
+				d.s.Once(&seen, 2)
+				r.Card = d.s.Float()
+			case "free":
+				d.s.Once(&seen, 4)
+				r.Free = d.intList()
+			default:
+				d.s.Fail()
+			}
+		}
+		rels = append(rels, r)
+	}
+	return append(make([]RelationJSON, 0, len(rels)), rels...)
+}
+
+func (d *queryDecoder) edges() []EdgeJSON {
+	if !d.s.Expect('[') {
+		return nil
+	}
+	var buf [16]EdgeJSON
+	edges := buf[:0]
+	for first := true; d.s.More(']', first); first = false {
+		var e EdgeJSON
+		var seen uint8
+		d.s.Expect('{')
+		for f := true; d.s.More('}', f); f = false {
+			switch d.s.Key() {
+			case "left":
+				d.s.Once(&seen, 1)
+				e.Left = d.intList()
+			case "right":
+				d.s.Once(&seen, 2)
+				e.Right = d.intList()
+			case "free":
+				d.s.Once(&seen, 4)
+				e.Free = d.intList()
+			case "sel":
+				d.s.Once(&seen, 8)
+				e.Sel = d.s.Float()
+			case "op":
+				d.s.Once(&seen, 16)
+				e.Op = d.s.Str()
+			case "label":
+				d.s.Once(&seen, 32)
+				e.Label = d.s.Str()
+			default:
+				d.s.Fail()
+			}
+		}
+		edges = append(edges, e)
+	}
+	return append(make([]EdgeJSON, 0, len(edges)), edges...)
+}
+
+func (d *queryDecoder) tree() *TreeJSON {
+	if d.depth == maxTreeDepth || !d.s.Expect('{') {
+		d.s.Fail()
+		return nil
+	}
+	d.depth++
+	defer func() { d.depth-- }()
+	t := &TreeJSON{}
+	var seen uint8
+	for first := true; d.s.More('}', first); first = false {
+		switch d.s.Key() {
+		case "rel":
+			d.s.Once(&seen, 1)
+			rel := d.s.Int()
+			t.Rel = &rel
+		case "op":
+			d.s.Once(&seen, 2)
+			t.Op = d.s.Str()
+		case "left":
+			d.s.Once(&seen, 4)
+			t.Left = d.tree()
+		case "right":
+			d.s.Once(&seen, 8)
+			t.Right = d.tree()
+		case "pred":
+			d.s.Once(&seen, 16)
+			t.Pred = d.intList()
+		case "sel":
+			d.s.Once(&seen, 32)
+			t.Sel = d.s.Float()
+		case "label":
+			d.s.Once(&seen, 64)
+			t.Label = d.s.Str()
+		default:
+			d.s.Fail()
+		}
+	}
+	return t
+}
+
+// intList decodes an array of integers. The lists of one document are
+// cut, capacity-capped, from shared chunks: appending to one copies it
+// instead of overwriting its neighbour.
+func (d *queryDecoder) intList() []int {
+	if !d.s.Expect('[') {
+		return nil
+	}
+	start := len(d.ints)
+	for first := true; d.s.More(']', first); first = false {
+		v := d.s.Int()
+		if len(d.ints) == cap(d.ints) {
+			chunk := make([]int, 0, max(64, 2*(len(d.ints)-start+1)))
+			d.ints = append(chunk, d.ints[start:]...)
+			start = 0
+		}
+		d.ints = append(d.ints, v)
+	}
+	if len(d.ints) == start {
+		return []int{}
+	}
+	return d.ints[start:len(d.ints):len(d.ints)]
 }
 
 // Validate checks the document's structural invariants: at least one
@@ -107,7 +314,7 @@ func (q *QueryJSON) BuildQuery() (*Query, error) {
 	if q.Tree != nil {
 		return nil, fmt.Errorf("repro: tree documents cannot build a hypergraph query directly; use PlanJSON")
 	}
-	g := hypergraph.New()
+	g := hypergraph.NewSized(len(q.Relations), len(q.Edges))
 	var err error
 	catch(&err, func() {
 		for i, r := range q.Relations {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -440,8 +441,13 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	var key string
 	if cacheable {
 		span := o.explain.Start(obs.PhaseCacheLookup)
-		key = configKey(o) + "\x00" + g.Fingerprint()
-		res, ok := p.cache.get(key)
+		kb := keyBufs.Get().(*[]byte)
+		*kb = append(append(appendConfigKey((*kb)[:0], o), 0), g.Fingerprint()...)
+		res, ok := p.cache.get(*kb)
+		if !ok {
+			key = string(*kb)
+		}
+		keyBufs.Put(kb)
 		o.explain.End(span)
 		if ok {
 			res.Graph = g
@@ -554,20 +560,39 @@ func (p *Planner) fail(err error) error {
 	return err
 }
 
-// configKey encodes every configuration dimension that influences plan
-// choice, so per-call option overrides cannot alias cache entries. The
+// appendConfigKey appends an encoding of every configuration dimension
+// that influences plan choice, so per-call option overrides cannot
+// alias cache entries. The
 // budget and fallback policy are part of the key because a budget trip
 // caches a Greedy plan — which must not be served to a call that could
 // afford the exact enumeration (or that asked for a hard error).
 // Parallelism is deliberately absent: the engine's order-independent
 // tie-break makes plans byte-identical at every worker count, so a
 // plan enumerated serially is interchangeable with a parallel one.
-func configKey(o options) string {
-	return fmt.Sprintf("%d/%s/%v/%t/%d:%d/%t/%d",
-		o.alg, o.model.Name(), o.rule, o.genAndTest,
-		o.budget.MaxCsgCmpPairs, o.budget.MaxCostedPlans, o.noFallback,
-		o.clusterSize)
+// The format is "alg/model/rule/genAndTest/pairs:plans/noFallback/
+// clusterSize", with the algorithm as its number and the rule by name:
+// snapshots store these keys, so it must not change.
+func appendConfigKey(b []byte, o options) []byte {
+	b = strconv.AppendInt(b, int64(o.alg), 10)
+	b = append(b, '/')
+	b = append(b, o.model.Name()...)
+	b = append(b, '/')
+	b = append(b, o.rule.String()...)
+	b = append(b, '/')
+	b = strconv.AppendBool(b, o.genAndTest)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(o.budget.MaxCsgCmpPairs), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(o.budget.MaxCostedPlans), 10)
+	b = append(b, '/')
+	b = strconv.AppendBool(b, o.noFallback)
+	b = append(b, '/')
+	return strconv.AppendInt(b, int64(o.clusterSize), 10)
 }
+
+// keyBufs recycles the buffers plan-cache keys are built in, so a
+// lookup that hits allocates no key.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 var (
 	defaultPlannerOnce sync.Once

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/optree"
 	"repro/internal/workload"
 )
 
@@ -454,5 +455,24 @@ func TestBudgetedTreeQuery(t *testing.T) {
 	}
 	if res.Plan.Relations() != 10 {
 		t.Errorf("fallback plan covers %d relations", res.Plan.Relations())
+	}
+}
+
+// TestConfigKeyFormat: the strconv-built config key is byte-identical
+// to the fmt format it replaced, so snapshot keys stay valid.
+func TestConfigKeyFormat(t *testing.T) {
+	for _, o := range []options{
+		defaultOptions(),
+		{alg: SolverAuto, model: Physical, rule: optree.Published, genAndTest: true,
+			budget: Budget{MaxCsgCmpPairs: 10_000_000, MaxCostedPlans: -3}, noFallback: true, clusterSize: 12},
+		{alg: Greedy, model: Cmm, budget: Budget{MaxCsgCmpPairs: 1}},
+	} {
+		want := fmt.Sprintf("%d/%s/%v/%t/%d:%d/%t/%d",
+			o.alg, o.model.Name(), o.rule, o.genAndTest,
+			o.budget.MaxCsgCmpPairs, o.budget.MaxCostedPlans, o.noFallback,
+			o.clusterSize)
+		if got := string(appendConfigKey(nil, o)); got != want {
+			t.Errorf("config key %q, want %q", got, want)
+		}
 	}
 }

@@ -34,8 +34,31 @@
 // already uses, combined with the request's planning options, so a
 // thundering herd of the same query shape costs one worker slot and one
 // enumeration; the followers are marked "coalesced": true in their
-// responses. Tree documents (non-inner-join queries) coalesce on a hash
-// of the document instead.
+// responses. Tree documents (non-inner-join queries) coalesce on a
+// canonical encoding of the decoded document instead. /batch items log
+// the same fingerprint a /plan request for the same query logs: a
+// 64-bit FNV-1a hash of the key, as 16 hex digits.
+//
+// # Wire codec
+//
+// Request bodies in the canonical JSON subset — exact-case known keys,
+// no key twice, no null, printable-ASCII strings without escapes,
+// JSON-grammar numbers, plain integers for index lists — decode in one
+// pass without reflection (repro.DecodeQueryJSON for the query
+// document, internal/jsonscan for the /plan and /batch envelopes). On
+// anything else the fast decoder declines and encoding/json decodes
+// the body as it always has, so malformed requests keep encoding/json's
+// error text and their 400. A fast decode accepts only what
+// encoding/json accepts and yields a reflect.DeepEqual value.
+//
+// Responses are appended straight from the plan tree into a pooled
+// buffer. The bytes are exactly what json.NewEncoder with
+// SetEscapeHTML(false) writes for the exported wire types
+// (PlanResponse, BatchResponse): encoding/json's float format and
+// omitempty rules, names that need escaping and the explain trace
+// rendered by encoding/json itself, and an empty body where
+// encoding/json refuses a non-finite number. TestWireParity,
+// FuzzQueryDecode and FuzzPlanHandler hold the codec to that rule.
 //
 // # Observability
 //

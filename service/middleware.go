@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"runtime/debug"
 	"time"
@@ -67,10 +68,10 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				s.met.latency.observe(elapsed)
 				// The rich per-plan record is the handler's Info line;
 				// this is the transport-level view.
-				s.log.Debug("http",
-					"id", id, "method", r.Method, "path", r.URL.Path,
-					"status", rec.code,
-					"duration_ms", float64(elapsed.Microseconds())/1000)
+				s.log.LogAttrs(r.Context(), slog.LevelDebug, "http",
+					slog.Uint64("id", id), slog.String("method", r.Method),
+					slog.String("path", r.URL.Path), slog.Int("status", rec.code),
+					slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000))
 			}
 		}()
 		next.ServeHTTP(rec, r)

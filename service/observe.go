@@ -1,8 +1,10 @@
 package service
 
 import (
-	"crypto/sha256"
+	"context"
+	"encoding/binary"
 	"encoding/hex"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -38,17 +40,31 @@ type cacheSnapshotter interface {
 	LoadCacheSnapshot(path string) (int, error)
 }
 
-// fingerprintOf condenses a coalescing/cache key into the short stable
-// hash that identifies the query in logs and /debug/plans.
+// fingerprintOf condenses a coalescing key into the short stable hash
+// that identifies the query in logs and /debug/plans: the key's 64-bit
+// FNV-1a hash as 16 hex digits. It is an identifier, not a security
+// boundary, so a fast non-cryptographic hash serves.
 func fingerprintOf(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:8])
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	var sum [8]byte
+	var out [16]byte
+	binary.BigEndian.PutUint64(sum[:], h)
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
-// observePlan records one finished planning request into the slow-plan
-// ring and emits the structured plan log line (Warn above the slow-plan
-// threshold, Info otherwise).
-func (s *Server) observePlan(rid uint64, key string, res *repro.Result, coalesced bool, elapsed time.Duration) {
+// observePlan records one finished planning request, identified by its
+// fingerprint fp, into the slow-plan ring and emits the structured plan
+// log line (Warn above the slow-plan threshold, Info otherwise).
+func (s *Server) observePlan(rid uint64, fp string, res *repro.Result, coalesced bool, elapsed time.Duration) {
 	st := res.Stats
 	relations := 0
 	if res.Graph != nil {
@@ -58,7 +74,6 @@ func (s *Server) observePlan(rid uint64, key string, res *repro.Result, coalesce
 	if shape == "" {
 		shape = "unclassified"
 	}
-	fp := fingerprintOf(key)
 	s.ring.Observe(obs.RingEntry{
 		Time:        time.Now(),
 		Fingerprint: fp,
@@ -74,27 +89,29 @@ func (s *Server) observePlan(rid uint64, key string, res *repro.Result, coalesce
 		Trace:       st.Trace,
 	})
 
-	attrs := []any{
-		"id", rid,
-		"fingerprint", fp,
-		"shape", shape,
-		"algorithm", res.Algorithm.String(),
-		"relations", relations,
-		"duration_ms", float64(elapsed.Microseconds()) / 1000,
-		"cache_hit", st.CacheHit,
-		"coalesced", coalesced,
-		"outcome", "ok",
+	attrs := [...]slog.Attr{
+		slog.Uint64("id", rid),
+		slog.String("fingerprint", fp),
+		slog.String("shape", shape),
+		slog.String("algorithm", res.Algorithm.String()),
+		slog.Int("relations", relations),
+		slog.Float64("duration_ms", float64(elapsed.Microseconds())/1000),
+		slog.Bool("cache_hit", st.CacheHit),
+		slog.Bool("coalesced", coalesced),
+		slog.String("outcome", "ok"),
+		{}, {}, // the slow-plan phase totals
 	}
+	n := len(attrs) - 2
 	if s.cfg.SlowPlanThreshold > 0 && elapsed >= s.cfg.SlowPlanThreshold {
 		if tr := st.Trace; tr != nil {
-			attrs = append(attrs,
-				"enumerate_ms", float64(tr.PhaseTotal(obs.PhaseEnumerate).Microseconds())/1000,
-				"iterdp_rounds_ms", float64(tr.PhaseTotal(obs.PhaseCluster).Microseconds())/1000)
+			attrs[n] = slog.Float64("enumerate_ms", float64(tr.PhaseTotal(obs.PhaseEnumerate).Microseconds())/1000)
+			attrs[n+1] = slog.Float64("iterdp_rounds_ms", float64(tr.PhaseTotal(obs.PhaseCluster).Microseconds())/1000)
+			n += 2
 		}
-		s.log.Warn("slow plan", attrs...)
+		s.log.LogAttrs(context.Background(), slog.LevelWarn, "slow plan", attrs[:n]...)
 		return
 	}
-	s.log.Info("plan", attrs...)
+	s.log.LogAttrs(context.Background(), slog.LevelInfo, "plan", attrs[:n]...)
 }
 
 // DebugHandler returns the debugging/profiling surface: net/http/pprof,

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro"
@@ -199,9 +200,10 @@ type ErrorResponse struct {
 // plus a canonical key fragment for the coalescer. Unset fields resolve
 // to the literal "default" in the key — the server's planner defaults
 // are fixed for the process lifetime, so the fragment still identifies
-// one planning configuration. The plan budget is part of the key
-// because it steers routing: a tier-1 request with a tightened budget
-// must not coalesce onto (or feed) the population planning without one.
+// one planning configuration ("alg/cost/pairs:plans/budgetMS"). The
+// plan budget is part of the key because it steers routing: a tier-1
+// request with a tightened budget must not coalesce onto (or feed) the
+// population planning without one.
 func planOptions(algorithm, costModel string, budget *BudgetJSON, planBudget time.Duration) ([]repro.Option, string, error) {
 	var opts []repro.Option
 	algKey, costKey := "default", "default"
@@ -238,9 +240,15 @@ func planOptions(algorithm, costModel string, budget *BudgetJSON, planBudget tim
 	if planBudget > 0 {
 		opts = append(opts, repro.WithPlanBudget(planBudget))
 	}
-	key := fmt.Sprintf("%s/%s/%d:%d/%d", algKey, costKey,
-		b.MaxCsgCmpPairs, b.MaxCostedPlans, planBudget.Milliseconds())
-	return opts, key, nil
+	key := make([]byte, 0, 64)
+	key = append(append(key, algKey...), '/')
+	key = append(append(key, costKey...), '/')
+	key = strconv.AppendInt(key, int64(b.MaxCsgCmpPairs), 10)
+	key = append(key, ':')
+	key = strconv.AppendInt(key, int64(b.MaxCostedPlans), 10)
+	key = append(key, '/')
+	key = strconv.AppendInt(key, planBudget.Milliseconds(), 10)
+	return opts, string(key), nil
 }
 
 // validateQuery guards the nil case, then defers to the library's own
@@ -251,72 +259,4 @@ func validateQuery(q *repro.QueryJSON) error {
 		return fmt.Errorf("service: request has no query")
 	}
 	return q.Validate()
-}
-
-// planNodeJSON renders a plan tree for the wire. names maps relation
-// indexes to names; it may be nil (tools planning anonymous graphs).
-func planNodeJSON(n *repro.PlanNode, names func(int) string) *PlanNodeJSON {
-	if n == nil {
-		return nil
-	}
-	out := &PlanNodeJSON{Card: n.Card, Cost: n.Cost}
-	if n.IsLeaf() {
-		rel := n.Rel
-		out.Rel = &rel
-		if names != nil {
-			out.Relation = names(rel)
-		}
-		return out
-	}
-	out.Op = n.Op.String()
-	if n.Phys != repro.PhysNone {
-		out.Phys = n.Phys.String()
-	}
-	out.Left = planNodeJSON(n.Left, names)
-	out.Right = planNodeJSON(n.Right, names)
-	return out
-}
-
-// planResponse renders a planning result for the wire.
-func planResponse(res *repro.Result, coalesced bool, elapsedMS float64) *PlanResponse {
-	var names func(int) string
-	if res.Graph != nil {
-		g := res.Graph
-		names = func(i int) string {
-			if i >= 0 && i < g.NumRels() {
-				return g.Relation(i).Name
-			}
-			return ""
-		}
-	}
-	st := res.Stats
-	sj := StatsJSON{
-		CsgCmpPairs:     st.CsgCmpPairs,
-		CostedPlans:     st.CostedPlans,
-		CacheHit:        st.CacheHit,
-		BudgetExhausted: st.BudgetExhausted,
-		FallbackGreedy:  st.FallbackGreedy,
-		Shape:           st.Shape,
-		RoutedAlgorithm: st.RoutedAlgorithm,
-		Workers:         st.Workers,
-		Subproblems:     st.Subproblems,
-		Rounds:          st.Rounds,
-	}
-	if st.PlanBudget > 0 {
-		sj.PlanBudgetMS = float64(st.PlanBudget.Microseconds()) / 1000
-		sj.PredictedCostMS = float64(st.PredictedCost.Microseconds()) / 1000
-		sj.SLORung = repro.SLORungName(st.SLORung)
-		sj.SLODegraded = st.SLODegraded
-		met := st.SLOMet
-		sj.SLOMet = &met
-	}
-	return &PlanResponse{
-		Plan:        planNodeJSON(res.Plan, names),
-		Cost:        res.Cost(),
-		Cardinality: res.Cardinality(),
-		Algorithm:   res.Algorithm.String(),
-		Stats:       sj,
-		Coalesced:   coalesced,
-		ElapsedMS:   elapsedMS,
-	}
 }

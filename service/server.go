@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -347,18 +345,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading body: %w", err))
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		return
-	}
-	var req PlanRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
+	req, ok := readRequest(s, w, r, decodePlanRequest)
+	if !ok {
 		return
 	}
 	if err := validateQuery(req.Query); err != nil {
@@ -391,7 +379,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// followers inherit a real trace instead of an absent one. Sampled
 	// requests keep the plain key: the trace is opportunistic (ring
 	// only), and splitting the population would cost extra enumerations.
-	ev := r.URL.Query().Get("explain")
+	var ev string
+	if r.URL.RawQuery != "" { // parsing an empty query string still allocates its map
+		ev = r.URL.Query().Get("explain")
+	}
 	explain := ev == "1" || ev == "true"
 	traced := explain
 	if !traced && s.cfg.TraceSample > 0 && s.sampleSeq.Add(1)%uint64(s.cfg.TraceSample) == 0 {
@@ -403,42 +394,25 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, repro.WithExplain(tr))
 	}
 
-	// The coalescing key: planning options plus the canonical graph
-	// fingerprint (tree documents hash the document instead — their
-	// conflict analysis has no graph to fingerprint before planning).
-	var key string
-	var leaderPlan func(context.Context) (*repro.Result, error)
-	if req.Query.Tree == nil {
-		q, err := req.Query.BuildQuery()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		key = optKey + "\x00" + q.Graph().Fingerprint()
-		if explain {
-			key += "\x00explain"
-		}
-		leaderPlan = func(ctx context.Context) (*repro.Result, error) {
+	// The coalescing key: planning options plus the document's key (see
+	// documentKey). The leader plans a hypergraph document's built query
+	// and a tree document through PlanJSON.
+	q, docKey, err := documentKey(req.Query)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	key := optKey + "\x00" + docKey
+	if explain {
+		key += "\x00explain"
+	}
+	fp := fingerprintOf(key)
+	doc := req.Query
+	leaderPlan := func(ctx context.Context) (*repro.Result, error) {
+		if q != nil {
 			return s.planner.Plan(ctx, q, opts...)
 		}
-	} else {
-		// Hash a canonical re-marshal of the query document alone:
-		// request-level fields (timeout_ms), field order, and whitespace
-		// are plan-irrelevant and must not defeat coalescing.
-		canon, err := json.Marshal(req.Query)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("service: canonicalizing query: %w", err))
-			return
-		}
-		sum := sha256.Sum256(canon)
-		key = optKey + "\x00tree:" + hex.EncodeToString(sum[:])
-		if explain {
-			key += "\x00explain"
-		}
-		doc := req.Query
-		leaderPlan = func(ctx context.Context) (*repro.Result, error) {
-			return s.planner.PlanJSON(ctx, doc, opts...)
-		}
+		return s.planner.PlanJSON(ctx, doc, opts...)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMS))
@@ -474,12 +448,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		break
 	}
 	if err != nil {
-		s.log.Info("plan",
-			"id", requestID(r.Context()),
-			"fingerprint", fingerprintOf(key),
-			"duration_ms", float64(time.Since(start).Microseconds())/1000,
-			"outcome", "error",
-			"error", err.Error())
+		s.log.LogAttrs(context.Background(), slog.LevelInfo, "plan",
+			slog.Uint64("id", requestID(r.Context())),
+			slog.String("fingerprint", fp),
+			slog.Float64("duration_ms", float64(time.Since(start).Microseconds())/1000),
+			slog.String("outcome", "error"),
+			slog.String("error", err.Error()))
 		s.writePlanError(w, err)
 		return
 	}
@@ -487,13 +461,57 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if s.ladder != nil {
 		s.ladder.observe(elapsed)
 	}
-	s.observePlan(requestID(r.Context()), key, res, shared, elapsed)
-	resp := planResponse(res, shared, float64(elapsed.Microseconds())/1000)
-	resp.PressureTier = tier
+	s.observePlan(requestID(r.Context()), fp, res, shared, elapsed)
+	var trace *TraceJSON
 	if explain {
-		resp.Trace = traceJSON(res.Stats.Trace)
+		trace = traceJSON(res.Stats.Trace)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writePlanResponse(w, res, shared, float64(elapsed.Microseconds())/1000, tier, trace)
+}
+
+// readRequest reads a /plan or /batch body, bounded by MaxBodyBytes,
+// into a pooled buffer and decodes it: with decode when the body is in
+// the canonical subset, with encoding/json otherwise. Neither decoder
+// keeps the buffer. On failure it writes the 400 or 413 and reports
+// false.
+func readRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, decode func([]byte) (T, bool)) (T, bool) {
+	bp := bodyBufs.Get().(*[]byte)
+	body, err := readAll((*bp)[:0], io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	defer putBody(bp, body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading body: %w", err))
+		return *new(T), false
+	}
+	if int64(len(body)) > s.cfg.MaxBodyBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: body exceeds %d bytes", s.cfg.MaxBodyBytes))
+		return *new(T), false
+	}
+	if req, ok := decode(body); ok {
+		return req, true
+	}
+	var req T
+	if err := json.Unmarshal(body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
+		return req, false
+	}
+	return req, true
+}
+
+// readAll is io.ReadAll appending to dst.
+func readAll(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // handleBatch serves POST /batch: the batch occupies one worker slot
@@ -518,18 +536,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading body: %w", err))
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		return
-	}
-	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
+	req, ok := readRequest(s, w, r, decodeBatchRequest)
+	if !ok {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -551,34 +559,39 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.pool.release()
 
-	out := BatchResponse{Results: make([]BatchItem, len(req.Queries))}
+	out := make([]batchResult, len(req.Queries))
 	for i, doc := range req.Queries {
 		if err := ctx.Err(); err != nil {
-			out.Results[i] = BatchItem{Error: err.Error()}
+			out[i].err = err.Error()
 			continue
 		}
 		if err := validateQuery(doc); err != nil {
-			out.Results[i] = BatchItem{Error: err.Error()}
+			out[i].err = err.Error()
+			continue
+		}
+		// Batch items key, plan, and log like /plan requests, so the
+		// same query yields the same fingerprint on both paths.
+		q, docKey, err := documentKey(doc)
+		if err != nil {
+			out[i].err = err.Error()
 			continue
 		}
 		start := time.Now()
-		res, err := s.planner.PlanJSON(ctx, doc, opts...)
+		var res *repro.Result
+		if q != nil {
+			res, err = s.planner.Plan(ctx, q, opts...)
+		} else {
+			res, err = s.planner.PlanJSON(ctx, doc, opts...)
+		}
 		if err != nil {
-			out.Results[i] = BatchItem{Error: err.Error()}
+			out[i].err = err.Error()
 			continue
 		}
 		elapsed := time.Since(start)
-		// Batch items flow into the slow-plan ring and plan log like
-		// /plan requests; the item key reuses the /plan coalescing form
-		// so the same query yields the same fingerprint on both paths.
-		itemKey := optKey
-		if res.Graph != nil {
-			itemKey += "\x00" + res.Graph.Fingerprint()
-		}
-		s.observePlan(requestID(r.Context()), itemKey, res, false, elapsed)
-		out.Results[i] = BatchItem{PlanResponse: planResponse(res, false, float64(elapsed.Microseconds())/1000)}
+		s.observePlan(requestID(r.Context()), fingerprintOf(optKey+"\x00"+docKey), res, false, elapsed)
+		out[i] = batchResult{res: res, elapsedMS: float64(elapsed.Microseconds()) / 1000}
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeBatchResponse(w, out)
 }
 
 // healthzResponse is the body of GET /healthz.
